@@ -7,7 +7,7 @@ counterexample that the verifier rejects.
 import argparse
 
 from pvqc import compiler, dvproof, qsim
-from pvqc.compiler import CostModel, TimestampedProof
+from pvqc.compiler import CostModel
 from pvqc.meter import MeteredClock
 from pvqc.timestamp import Ledger, new_mac_key
 
@@ -44,9 +44,7 @@ def main() -> int:
     # Counterexample: forging with the revealed key after the deadline.
     forged = dvproof.forge_proof(
         dvproof.DvSecretKey(mac_key=opening.sk_bytes), crs.pk, 1)
-    stamp = ledger.stamp(dvproof.serialize_proof(forged), clock)
-    late = TimestampedProof(proof=forged, tau=stamp.tau,
-                            stamp_tag=stamp.auth_tag)
+    late = compiler.stamp_proof(forged, ledger, clock)
     verdict, site = compiler.vc_verify_explain(crs, circuit, x, late,
                                                opening, ledger)
     print(f"late forge: tau={late.tau} -> "

@@ -184,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_statement(p)
     p.add_argument("--crs", required=True)
     p.add_argument("--oracle", required=True)
-    p.add_argument("--security", type=int, default=256)
+    p.add_argument("--security", type=int, default=compiler.DEFAULT_LAMBDA)
     p.set_defaults(fn=_cmd_setup)
 
     p = sub.add_parser("prove", help="run the prover and timestamp the proof")
@@ -215,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=_default_seed())
     p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--security", type=int, default=256)
+    p.add_argument("--security", type=int, default=compiler.DEFAULT_LAMBDA)
     p.add_argument("--summary", help="write machine-readable summary here")
     p.set_defaults(fn=_cmd_experiment)
 

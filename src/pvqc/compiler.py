@@ -8,11 +8,14 @@ the backend tag check, and never executes the delegated circuit.
 
 One CRS is single-use: one TLP instance and one backend session per
 setup.
+
+The deadline delta is the puzzle's step count `tpk.mu`, stored once:
+a proof counts only if stamped before delta, and the key opens only
+after delta sequential steps, so the two cannot be allowed to differ.
 """
 
 from __future__ import annotations
 
-import math
 import secrets
 import struct
 from dataclasses import dataclass
@@ -28,6 +31,7 @@ from .tlp import Puzzle, TlpPublicParams
 _MAGIC = b"PVQC"
 _VERSION = 0x01
 
+DEFAULT_LAMBDA = 256
 DEFAULT_EPSILON = 0.5
 PROOF_OVERHEAD_UNITS = 16
 
@@ -60,8 +64,8 @@ class CostModel:
         return cls(t_units=qsim.circuit_depth(c) + proof_overhead, epsilon=epsilon)
 
     def delta(self) -> int:
-        """Deadline strictly above t_units^(1+epsilon)."""
-        return math.ceil(self.t_units ** (1.0 + self.epsilon)) + 1
+        """Deadline strictly above t_units^(1+epsilon), one step per unit."""
+        return tlp.calibrate_mu(self.t_units, self.epsilon, 1.0)
 
 
 @dataclass(frozen=True)
@@ -70,11 +74,11 @@ class Crs:
     pk: DvPublicKey
     puzzle: Puzzle
     commitment: Commitment
-    delta: int
 
-    def __post_init__(self):
-        if self.delta < 1:
-            raise ParameterError("delta must be >= 1")
+    @property
+    def delta(self) -> int:
+        """The deadline: proofs stamped at or after it are late."""
+        return self.tpk.mu
 
 
 @dataclass(frozen=True)
@@ -91,13 +95,12 @@ def vc_setup(lam: int, c: qsim.Circuit, x, cost: CostModel
              ) -> tuple[Crs, OracleToken]:
     """Setup phase.  The chain walk inside the TLP setup is the dominant
     cost; the oracle token is emitted separately, never inside the CRS."""
-    delta = cost.delta()
-    tpk, tsk = tlp.setup(lam, delta)
+    tpk, tsk = tlp.setup(lam, cost.delta())
     pk, sk = dvproof.keygen(lam, c, x)
     r = secrets.token_bytes(commit.RAND_LEN)
     d = commit.commit(sk.mac_key, r)
     puzzle = tlp.gen_puzzle(sk.mac_key + r, tpk, tsk)
-    crs = Crs(tpk=tpk, pk=pk, puzzle=puzzle, commitment=d, delta=delta)
+    crs = Crs(tpk=tpk, pk=pk, puzzle=puzzle, commitment=d)
     return crs, dvproof.make_token(sk, pk)
 
 
@@ -110,9 +113,14 @@ def vc_prove(crs: Crs, c: qsim.Circuit, x, token: OracleToken, ledger: Ledger,
     if cost is None:
         cost = CostModel.from_circuit(c)
     clock.charge(cost.t_units)
-    pi = dvproof.prove_oracle(token, crs.pk, c, x)
-    stamp = ledger.stamp(dvproof.serialize_proof(pi), clock)
-    return TimestampedProof(proof=pi, tau=stamp.tau, stamp_tag=stamp.auth_tag)
+    return stamp_proof(dvproof.prove_oracle(token, crs.pk, c, x), ledger, clock)
+
+
+def stamp_proof(proof: DvProof, ledger: Ledger, clock: MeteredClock
+                ) -> TimestampedProof:
+    """Timestamp a backend proof at the clock's current time."""
+    stamp = ledger.stamp(dvproof.serialize_proof(proof), clock)
+    return TimestampedProof(proof=proof, tau=stamp.tau, stamp_tag=stamp.auth_tag)
 
 
 def parse_opening(plaintext: bytes) -> Opening:
@@ -138,7 +146,7 @@ def vc_verify_explain(crs: Crs, c: qsim.Circuit, x, pi_tau: TimestampedProof,
     Total: all failures are reject verdicts.  Late proofs (tau >= delta)
     are rejected; the deadline window is [0, delta).  Never simulates C.
     """
-    if pi_tau.tau >= crs.delta:
+    if pi_tau.tau >= crs.tpk.mu:     # crs.delta, read without the property call
         return False, REJECT_TIMESTAMP
     if (dvproof.circuit_digest(c) != crs.pk.circuit_digest
             or dvproof.input_digest(x) != crs.pk.input_digest):
@@ -161,11 +169,13 @@ def vc_verify(crs: Crs, c: qsim.Circuit, x, pi_tau: TimestampedProof,
 
 
 def serialize_crs(crs: Crs) -> bytes:
+    """v1 layout: the deadline fills three slots (mu, delta_steps, delta)."""
+    mu = crs.tpk.mu
     return (_MAGIC + bytes([_VERSION])
-            + crs.tpk.seed + struct.pack(">QQ", crs.tpk.mu, crs.tpk.delta_steps)
+            + crs.tpk.seed + struct.pack(">QQ", mu, mu)
             + crs.pk.circuit_digest + crs.pk.input_digest + crs.pk.session_nonce
             + tlp.serialize_puzzle(crs.puzzle)
-            + crs.commitment.digest + struct.pack(">Q", crs.delta))
+            + crs.commitment.digest + struct.pack(">Q", mu))
 
 
 def parse_crs(data: bytes) -> Crs:
@@ -174,17 +184,17 @@ def parse_crs(data: bytes) -> Crs:
     body = data[5:]
     if len(body) < 48 + 80:
         raise FormatError("truncated CRS record")
-    seed = body[:32]
     mu, delta_steps = struct.unpack(">QQ", body[32:48])
-    tpk = TlpPublicParams(seed=seed, mu=mu, delta_steps=delta_steps)
     pk = DvPublicKey(circuit_digest=body[48:80], input_digest=body[80:112],
                      session_nonce=body[112:128])
     puzzle, rest = tlp.parse_puzzle_prefix(body[128:])
     if len(rest) != 40:
         raise FormatError("truncated CRS tail")
-    d = Commitment(digest=rest[:32])
     (delta,) = struct.unpack(">Q", rest[32:])
-    return Crs(tpk=tpk, pk=pk, puzzle=puzzle, commitment=d, delta=delta)
+    if not mu == delta_steps == delta:
+        raise FormatError("CRS deadline copies differ")
+    return Crs(tpk=TlpPublicParams(seed=body[:32], mu=mu), pk=pk, puzzle=puzzle,
+               commitment=Commitment(digest=rest[:32]))
 
 
 def serialize_timestamped_proof(pi_tau: TimestampedProof) -> bytes:

@@ -29,8 +29,6 @@ _TOKEN_MAGIC = b"PVQO"
 _PROOF_MAGIC = b"PVQP"
 _VERSION = 0x01
 
-DEFAULT_LAMBDA = 256
-
 
 @dataclass(frozen=True)
 class DvPublicKey:

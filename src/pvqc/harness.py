@@ -19,8 +19,9 @@ from dataclasses import dataclass, field
 
 from . import dvproof, qsim
 from .commit import Opening
-from .compiler import (CostModel, Crs, TimestampedProof, vc_prove, vc_reveal,
-                       vc_setup, vc_verify_explain)
+from .compiler import (DEFAULT_LAMBDA, CostModel, Crs, TimestampedProof,
+                       stamp_proof, vc_prove, vc_reveal, vc_setup,
+                       vc_verify_explain)
 from .dvproof import DvSecretKey, OracleToken
 from .errors import BudgetExceeded, ParameterError, ProofRefused
 from .meter import MeteredClock
@@ -33,8 +34,6 @@ A3_ALT_OPENING = "A3_ALT_OPENING"
 A4_RANDOM_TAG = "A4_RANDOM_TAG"
 STRATEGIES = (HONEST, A1_GUESS_KEY, A2_SOLVE_THEN_FORGE, A3_ALT_OPENING,
               A4_RANDOM_TAG)
-
-DEFAULT_LAMBDA = 256
 
 
 @dataclass(frozen=True)
@@ -90,11 +89,6 @@ class AggregateReport:
         return "\n".join(lines) + "\n"
 
 
-def _stamp_proof(proof, ledger: Ledger, clock: MeteredClock) -> TimestampedProof:
-    stamp = ledger.stamp(dvproof.serialize_proof(proof), clock)
-    return TimestampedProof(proof=proof, tau=stamp.tau, stamp_tag=stamp.auth_tag)
-
-
 def strategy_honest(crs: Crs, c, x, token: OracleToken, ledger: Ledger,
                     clock: MeteredClock, rng: random.Random,
                     budget: int | None) -> tuple[TimestampedProof, Opening]:
@@ -108,11 +102,12 @@ def strategy_a1_guess_key(crs: Crs, c, x, token, ledger: Ledger,
                           clock: MeteredClock, rng: random.Random,
                           budget: int | None) -> tuple[TimestampedProof, Opening]:
     """Tag a proof under a uniformly guessed key and present the guessed
-    opening.  Zero sequential charges."""
+    opening.  Zero sequential charges.  Also serves A3: the guessed
+    opening fails the commitment check, the true one the tag check."""
     with clock.phase_budget(budget):
         guess = rng.randbytes(32)
         proof = dvproof.forge_proof(DvSecretKey(mac_key=guess), crs.pk, 1)
-        pi_tau = _stamp_proof(proof, ledger, clock)
+        pi_tau = stamp_proof(proof, ledger, clock)
         return pi_tau, Opening(sk_bytes=guess, r=rng.randbytes(32))
 
 
@@ -133,20 +128,7 @@ def strategy_a2_solve_then_forge(crs: Crs, c, x, token, ledger: Ledger,
         # Cannot finish inside the budget: keep solving past the deadline.
         opening = vc_reveal(crs, clock)
     proof = dvproof.forge_proof(DvSecretKey(mac_key=opening.sk_bytes), crs.pk, 1)
-    return _stamp_proof(proof, ledger, clock), opening
-
-
-def strategy_a3_alt_opening(crs: Crs, c, x, token, ledger: Ledger,
-                            clock: MeteredClock, rng: random.Random,
-                            budget: int | None) -> tuple[TimestampedProof, Opening]:
-    """Fabricate an alternative opening (sk', r') that is self-consistent
-    with its own forged proof tag; rejection must occur at the commitment
-    check."""
-    with clock.phase_budget(budget):
-        sk_alt = rng.randbytes(32)
-        proof = dvproof.forge_proof(DvSecretKey(mac_key=sk_alt), crs.pk, 1)
-        pi_tau = _stamp_proof(proof, ledger, clock)
-        return pi_tau, Opening(sk_bytes=sk_alt, r=rng.randbytes(32))
+    return stamp_proof(proof, ledger, clock), opening
 
 
 def strategy_a4_random_tag(crs: Crs, c, x, token, ledger: Ledger,
@@ -156,7 +138,7 @@ def strategy_a4_random_tag(crs: Crs, c, x, token, ledger: Ledger,
     opening; exercises the claimed-bit rejection site under the true key."""
     with clock.phase_budget(budget):
         proof = dvproof.DvProof(claimed_bit=0, tag=rng.randbytes(32))
-        pi_tau = _stamp_proof(proof, ledger, clock)
+        pi_tau = stamp_proof(proof, ledger, clock)
         return pi_tau, Opening(sk_bytes=rng.randbytes(32), r=rng.randbytes(32))
 
 
@@ -164,7 +146,7 @@ _STRATEGY_FNS = {
     HONEST: strategy_honest,
     A1_GUESS_KEY: strategy_a1_guess_key,
     A2_SOLVE_THEN_FORGE: strategy_a2_solve_then_forge,
-    A3_ALT_OPENING: strategy_a3_alt_opening,
+    A3_ALT_OPENING: strategy_a1_guess_key,
     A4_RANDOM_TAG: strategy_a4_random_tag,
 }
 

@@ -21,6 +21,7 @@ UNITARY_TOL = 1e-9
 SINGLE_GATES = ("X", "Y", "Z", "H", "S", "T", "RX", "RY", "RZ", "PHASE")
 DOUBLE_GATES = ("CNOT", "CZ", "SWAP", "CPHASE")
 PARAM_GATES = frozenset({"RX", "RY", "RZ", "PHASE", "CPHASE"})
+DIAGONAL_GATES = frozenset({"Z", "S", "T", "RZ", "PHASE", "CZ", "CPHASE"})
 GATE_ARITY = {**{k: 1 for k in SINGLE_GATES}, **{k: 2 for k in DOUBLE_GATES}}
 
 
@@ -143,6 +144,7 @@ def circuit_from_text(text: str) -> Circuit:
         kind = parts[0]
         try:
             targets = tuple(int(t) for t in parts[1].split(","))
+            params = tuple(map(float, parts[2:]))
         except (IndexError, ValueError) as exc:
             raise FormatError(f"bad gate line: {lines[i]!r}") from exc
         i += 1
@@ -155,14 +157,13 @@ def circuit_from_text(text: str) -> Circuit:
                 entries = row_line.split()
                 if len(entries) != dim:
                     raise FormatError("bad DENSE_UNITARY row width")
-                rows.append([complex(*map(float, e.split(","))) for e in entries])
+                try:
+                    rows.append([complex(*map(float, e.split(","))) for e in entries])
+                except (TypeError, ValueError) as exc:
+                    raise FormatError(f"bad DENSE_UNITARY row: {row_line!r}") from exc
             i += dim
             gates.append(Gate(kind, targets, matrix=np.array(rows, dtype=complex)))
-        elif len(parts) == 3:
-            gates.append(Gate(kind, targets, params=(float(parts[2]),)))
-        elif len(parts) == 2:
-            gates.append(Gate(kind, targets))
         else:
-            raise FormatError(f"bad gate line: {lines[i - 1]!r}")
+            gates.append(Gate(kind, targets, params=params))
     return Circuit(n_qubits=n, gates=tuple(gates), output_qubit=output,
                    n_inputs=n_inputs)

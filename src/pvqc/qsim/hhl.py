@@ -213,7 +213,7 @@ def hhl_instance_from_text(text: str, clock_qubits: int = DEFAULT_CLOCK_QUBITS,
         rows = [[complex(*map(float, e.split(","))) for e in ln.split()]
                 for ln in lines[1:n + 1]]
         b = [complex(*map(float, e.split(","))) for e in lines[n + 1].split()]
-    except (IndexError, ValueError) as exc:
+    except (IndexError, TypeError, ValueError) as exc:
         raise FormatError("bad HHL instance file") from exc
     if any(len(r) != n for r in rows) or len(b) != n:
         raise FormatError("bad HHL instance dimensions")

@@ -11,11 +11,10 @@ import math
 import random
 
 from ..errors import ParameterError
-from .circuit import Circuit, Gate, MAX_QUBITS, PARAM_GATES
+from .circuit import (DIAGONAL_GATES, DOUBLE_GATES, MAX_QUBITS, PARAM_GATES,
+                      SINGLE_GATES, Circuit, Gate)
 
-_SINGLES = ("X", "Y", "Z", "H", "S", "T", "RX", "RY", "RZ", "PHASE")
-_DOUBLES = ("CNOT", "CZ", "SWAP", "CPHASE")
-_DIAGONAL_SINGLES = ("Z", "S", "T", "RZ", "PHASE")
+_DIAGONAL_SINGLES = tuple(k for k in SINGLE_GATES if k in DIAGONAL_GATES)
 
 _PAIR_PROB = 0.4
 
@@ -35,7 +34,7 @@ def _layer(rng: random.Random, n: int, single_pool, gates: list[Gate],
     i = 0
     while i < len(order):
         if len(order) - i >= 2 and rng.random() < _PAIR_PROB:
-            gates.append(_gate(rng, rng.choice(_DOUBLES), (order[i], order[i + 1])))
+            gates.append(_gate(rng, rng.choice(DOUBLE_GATES), (order[i], order[i + 1])))
             i += 2
         else:
             gates.append(_gate(rng, rng.choice(single_pool), (order[i],)))
@@ -50,7 +49,7 @@ def random_circuit(n: int, depth: int, seed: int) -> Circuit:
     rng = random.Random(seed)
     gates: list[Gate] = []
     for _ in range(depth):
-        _layer(rng, n, _SINGLES, gates)
+        _layer(rng, n, SINGLE_GATES, gates)
     return Circuit(n_qubits=n, gates=tuple(gates), output_qubit=0)
 
 
@@ -72,5 +71,5 @@ def random_accepting_circuit(n: int, depth: int, seed: int) -> Circuit:
             gates.append(Gate("X", (0,)))
         else:
             gates.append(_gate(rng, rng.choice(_DIAGONAL_SINGLES), (0,)))
-        _layer(rng, n, _SINGLES, gates, spare_qubit=0)
+        _layer(rng, n, SINGLE_GATES, gates, spare_qubit=0)
     return Circuit(n_qubits=n, gates=tuple(gates), output_qubit=0)

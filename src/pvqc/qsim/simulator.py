@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from ..errors import ParameterError
-from .circuit import Circuit, Gate, UNITARY_TOL
+from .circuit import DIAGONAL_GATES, Circuit, Gate, UNITARY_TOL
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -70,12 +70,9 @@ def gate_matrix(g: Gate) -> np.ndarray:
     raise ParameterError(f"unknown gate kind {g.kind!r}")
 
 
-_DIAGONAL_KINDS = frozenset({"Z", "S", "T", "RZ", "PHASE", "CZ", "CPHASE"})
-
-
 def apply_gate(state: np.ndarray, g: Gate, n: int) -> np.ndarray:
     """Apply g to an n-qubit statevector (qubit 0 = most significant bit)."""
-    if g.kind in _DIAGONAL_KINDS:
+    if g.kind in DIAGONAL_GATES:
         k = len(g.targets)
         factor = np.diagonal(gate_matrix(g)).reshape([2] * k)
         order = np.argsort(g.targets)       # axis i of factor is targets[i]

@@ -10,6 +10,10 @@ fresh nonce-bound subkey.  Generating a puzzle therefore costs zero chain
 steps; solving one costs exactly mu of them.  Caveat: solving any puzzle
 of a batch reveals the batch key, so the compiler uses one TLP instance
 per CRS.
+
+The step count mu is the deadline: the compiler's delta is mu, stored
+once in `TlpPublicParams`, and `calibrate_mu` is the one formula that
+turns a cost into it.
 """
 
 from __future__ import annotations
@@ -51,16 +55,13 @@ def reset_chain_calls() -> None:
 @dataclass(frozen=True)
 class TlpPublicParams:
     seed: bytes          # chain start s0, 32 bytes
-    mu: int              # sequential steps to the key
-    delta_steps: int     # declared solve budget, >= mu
+    mu: int              # sequential steps to the key: the deadline delta
 
     def __post_init__(self):
         if len(self.seed) != 32:
             raise ParameterError("seed must be 32 bytes")
         if self.mu < 1:
             raise ParameterError("mu must be >= 1")
-        if self.delta_steps < self.mu:
-            raise ParameterError("delta_steps must be >= mu")
 
 
 @dataclass(frozen=True)
@@ -126,16 +127,14 @@ def setup(lam: int, delta_steps: int, *, seed: bytes | None = None
           ) -> tuple[TlpPublicParams, TlpSecretParams]:
     """Sample a chain seed and pay the one-time sequential setup cost.
 
-    `seed` is a test override; production callers let it default to fresh
-    randomness.
+    The puzzle's step count mu is `delta_steps`.  `seed` is a test
+    override; production callers let it default to fresh randomness.
     """
-    if delta_steps < 1:
-        raise ParameterError("delta_steps must be >= 1")
     if lam < 1:
         raise ParameterError("lambda must be >= 1")
     if seed is None:
         seed = secrets.token_bytes(32)
-    tpk = TlpPublicParams(seed=seed, mu=delta_steps, delta_steps=delta_steps)
+    tpk = TlpPublicParams(seed=seed, mu=delta_steps)
     endpoint = _walk_chain(seed, tpk.mu)
     tsk = TlpSecretParams(key=_derive_key(endpoint))
     return tpk, tsk

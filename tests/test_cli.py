@@ -1,9 +1,15 @@
 """CLI tests: the four protocol phases across separate invocations,
-experiment and bench subcommands, and exit-code discipline."""
+experiment and bench subcommands, exit-code discipline, and the example
+scripts."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from pvqc import cli, qsim
+from pvqc import cli, harness, qsim
 from pvqc.fixtures import small_accepting_circuit, small_rejecting_circuit
 
 
@@ -139,3 +145,24 @@ def test_bench_tlp_command(tmp_path, capsys):
 def test_unknown_subcommand_errors():
     with pytest.raises(SystemExit):
         cli.main(["frobnicate"])
+
+
+def _run_script(name, *args):
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, str(root / "scripts" / name), *args],
+                          env=env, capture_output=True, text=True, timeout=300)
+
+
+def test_scripts_run():
+    demo = _run_script("demo_pipeline.py")
+    assert demo.returncode == 0, demo.stderr
+    assert "verify:    accept" in demo.stdout
+    late = [ln for ln in demo.stdout.splitlines() if ln.startswith("late forge:")]
+    assert len(late) == 1 and late[0].endswith("reject (timestamp)")
+
+    soundness = _run_script("run_soundness_experiments.py", "--trials", "5")
+    assert soundness.returncode == 0, soundness.stderr
+    assert soundness.stdout.count("wins=0\n") == len(harness.STRATEGIES)

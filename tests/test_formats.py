@@ -1,12 +1,19 @@
 """Byte-exact file format checks built from the documented layouts with
-plain struct/hashlib code, independent of the library's serializers."""
+plain struct/hashlib code, independent of the library's serializers, and
+parser totality under mutated input."""
 
 import hashlib
 import hmac
 import struct
 
-from pvqc import compiler, dvproof, timestamp, tlp
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pvqc import compiler, dvproof, qsim, timestamp, tlp
 from pvqc.commit import Opening
+from pvqc.errors import FormatError, ParameterError
 from pvqc.meter import MeteredClock
 
 
@@ -56,13 +63,18 @@ def test_opening_record_layout():
         struct.pack(">I", 32) + b"\x66" * 32 + b"\x77" * 32
 
 
-def test_crs_record_layout():
-    tpk = tlp.TlpPublicParams(seed=b"\x01" * 32, mu=5, delta_steps=5)
+def _crs():
+    tpk = tlp.TlpPublicParams(seed=b"\x01" * 32, mu=5)
     pk = dvproof.DvPublicKey(circuit_digest=b"\x02" * 32, input_digest=b"\x03" * 32,
                              session_nonce=b"\x04" * 16)
     puzzle = tlp.Puzzle(nonce=b"\x05" * 16, ciphertext=b"\x06" * 64, tag=b"\x07" * 32)
-    crs = compiler.Crs(tpk=tpk, pk=pk, puzzle=puzzle,
-                       commitment=compiler.Commitment(digest=b"\x08" * 32), delta=5)
+    return compiler.Crs(tpk=tpk, pk=pk, puzzle=puzzle,
+                        commitment=compiler.Commitment(digest=b"\x08" * 32))
+
+
+def test_crs_record_layout():
+    crs = _crs()
+    puzzle = crs.puzzle
     expected = (b"PVQC" + bytes([0x01])
                 + b"\x01" * 32 + struct.pack(">QQ", 5, 5)
                 + b"\x02" * 32 + b"\x03" * 32 + b"\x04" * 16
@@ -71,6 +83,74 @@ def test_crs_record_layout():
     blob = compiler.serialize_crs(crs)
     assert blob == expected
     assert compiler.parse_crs(blob) == crs
+
+
+def test_crs_rejects_unequal_deadline_copies():
+    # The record carries the deadline in three slots (mu, delta_steps, delta);
+    # a record whose copies differ would let solve-then-stamp beat delta.
+    blob = compiler.serialize_crs(_crs())
+    mu_at, tail_at = 5 + 32, len(blob) - 8
+    for at in (mu_at, mu_at + 8, tail_at):
+        forged = blob[:at] + struct.pack(">Q", 50) + blob[at + 8:]
+        with pytest.raises(FormatError):
+            compiler.parse_crs(forged)
+
+
+_TEXT_TOKENS = ("x", "abc", "nan", "inf", "-1", "99", "1,0,0", "1,x", ",", " ",
+                "\n", "0", "DENSE_UNITARY", "RX", "inputs")
+
+
+@st.composite
+def _mutated(draw, valid):
+    """`valid` with one to four slices replaced by short junk."""
+    out = valid
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(out)))
+        j = draw(st.integers(i, min(len(out), i + 8)))
+        if isinstance(valid, bytes):
+            junk = draw(st.binary(max_size=8))
+        else:
+            junk = draw(st.sampled_from(_TEXT_TOKENS) | st.text(max_size=4))
+        out = out[:i] + junk + out[j:]
+    return out
+
+
+def _valid_records():
+    pi = dvproof.DvProof(claimed_bit=1, tag=b"\x44" * 32)
+    circuit = qsim.Circuit(n_qubits=3, gates=(
+        qsim.Gate("H", (0,)), qsim.Gate("RX", (1,), params=(0.5,)),
+        qsim.Gate("CNOT", (0, 2)),
+        qsim.Gate("DENSE_UNITARY", (1,), matrix=np.array([[0, 1], [1, 0]]))),
+        output_qubit=2, n_inputs=2)
+    hhl = qsim.HhlInstance(a=np.array([[2.0, 0.5], [0.5, 1.0]]), b=np.array([0.6, 0.8]))
+    return {
+        compiler.parse_crs: compiler.serialize_crs(_crs()),
+        compiler.parse_timestamped_proof: compiler.serialize_timestamped_proof(
+            compiler.TimestampedProof(proof=pi, tau=9, stamp_tag=b"\x55" * 32)),
+        compiler.parse_opening_record: compiler.serialize_opening(
+            Opening(sk_bytes=b"\x66" * 32, r=b"\x77" * 32)),
+        dvproof.parse_token: dvproof.serialize_token(
+            dvproof.OracleToken(mac_key=b"\x22" * 32, session_nonce=b"\x33" * 16)),
+        tlp.parse_puzzle: tlp.serialize_puzzle(
+            tlp.Puzzle(nonce=b"\x05" * 16, ciphertext=b"cipher", tag=b"\x07" * 32)),
+        dvproof.parse_proof: dvproof.serialize_proof(pi),
+        qsim.circuit_from_text: qsim.circuit_to_text(circuit),
+        qsim.hhl_instance_from_text: qsim.hhl_instance_to_text(hhl),
+    }
+
+
+_VALID = _valid_records()
+
+
+@pytest.mark.parametrize("parse", list(_VALID), ids=lambda f: f.__name__)
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_parsers_are_total(parse, data):
+    """Every parser turns a mutated record into a value or a declared error."""
+    try:
+        parse(data.draw(_mutated(_VALID[parse])))
+    except (FormatError, ParameterError):
+        pass
 
 
 def test_chain_domain_separation():

@@ -1,6 +1,7 @@
 """Simulator tests: analytic probabilities, unitarity/normalization,
 gate inverses, depth metric, text round-trips, and instrumentation."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pvqc import qsim
+from pvqc import fixtures, qsim
 from pvqc.errors import FormatError, ParameterError
 from pvqc.qsim.circuit import Gate, gate_weight
 from pvqc.qsim.simulator import apply_gate, gate_matrix
@@ -191,6 +192,17 @@ def test_text_roundtrip_dense_and_inputs():
     assert back.n_inputs == 1 and back.output_qubit == 2
     assert np.allclose(back.gates[0].matrix, q, atol=0)
     assert np.allclose(qsim.run(back), qsim.run(c), atol=1e-12)
+
+
+def test_generated_circuits_frozen_digests():
+    # Pins the benchmark corpus and the (15 qubits, depth 300) calibration
+    # cell of `bench.bench_circuits` (seed 1 + 1000 * 15 + 300).
+    corpus = "".join(qsim.circuit_to_text(c) for c, _ in fixtures.accepting_corpus())
+    assert hashlib.sha256(corpus.encode()).hexdigest() == \
+        "507d57e24e41700532f82248b9f63b9365012f697e1ea9f5848f54f6ed356228"
+    cell = qsim.circuit_to_text(qsim.random_circuit(15, 300, 15301))
+    assert hashlib.sha256(cell.encode()).hexdigest() == \
+        "a90550ac90afa0ee3367582b5e15f55d9ebdeb126e5fac20543a14361a9837cf"
 
 
 def test_text_parse_errors():

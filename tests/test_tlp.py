@@ -82,7 +82,7 @@ def test_tamper_rejected(field):
 def test_solve_wrong_seed_rejected():
     tpk, tsk = tlp.setup(256, 3, seed=bytes(32))
     puzzle = tlp.gen_puzzle(b"m", tpk, tsk)
-    other = tlp.TlpPublicParams(seed=b"\x01" * 32, mu=3, delta_steps=3)
+    other = tlp.TlpPublicParams(seed=b"\x01" * 32, mu=3)
     with pytest.raises(PuzzleIntegrityError):
         tlp.solve(other, puzzle)
 
@@ -134,11 +134,9 @@ def test_calibrate_mu_validation():
 
 def test_parameter_validation():
     with pytest.raises(ParameterError):
-        tlp.TlpPublicParams(seed=bytes(16), mu=1, delta_steps=1)
+        tlp.TlpPublicParams(seed=bytes(16), mu=1)
     with pytest.raises(ParameterError):
-        tlp.TlpPublicParams(seed=bytes(32), mu=0, delta_steps=1)
-    with pytest.raises(ParameterError):
-        tlp.TlpPublicParams(seed=bytes(32), mu=5, delta_steps=4)
+        tlp.TlpPublicParams(seed=bytes(32), mu=0)
     with pytest.raises(ParameterError):
         tlp.setup(0, 1)
     with pytest.raises(ParameterError):
