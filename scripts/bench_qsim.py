@@ -1,0 +1,101 @@
+"""Simulator timings, and an interleaved before/after comparison of two
+source trees.
+
+    python scripts/bench_qsim.py
+        Times the importable pvqc and prints one JSON object of metrics,
+        each the best of a few repetitions.
+    python scripts/bench_qsim.py --trees BEFORE_SRC AFTER_SRC --rounds 5
+        Runs the first form once per round in each tree (PYTHONPATH set to
+        the tree, BLAS on one thread), alternating which goes first, and
+        prints median, min and n of the per-round values for both trees.
+
+Per-kind rows: a two-qubit kind is timed alone, 200 gates on random pairs.
+A one-qubit kind is timed as 200 (gate, CZ) pairs minus 200 CZs alone: the
+CZ touches the gate's qubit, so each gate is applied on its own, not fused.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import random
+import statistics
+import subprocess
+import sys
+import time
+
+QUBITS = (5, 10, 15)
+GATES = 200
+
+
+def _best_ms(fn, reps: int) -> float:
+    best = float("inf")
+    for _ in range(reps):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return best * 1e3
+
+
+def measure() -> dict[str, float]:
+    from pvqc import fixtures, qsim
+    from pvqc.qsim.circuit import DOUBLE_GATES, PARAM_GATES, SINGLE_GATES
+
+    def gate(kind, targets):
+        return qsim.Gate(kind, targets, params=(0.7,) if kind in PARAM_GATES else ())
+
+    out = {}
+    for n in QUBITS:
+        rng = random.Random(n)
+        pairs = [tuple(rng.sample(range(n), 2)) for _ in range(GATES)]
+        reps = 3 if n == 15 else 15
+
+        def ms(gates):
+            c = qsim.Circuit(n_qubits=n, gates=tuple(gates), output_qubit=0)
+            return _best_ms(lambda: qsim.run(c), reps)
+
+        cz_ms = ms(gate("CZ", p) for p in pairs)
+        for kind in SINGLE_GATES:
+            gates = [g for p in pairs for g in (gate(kind, p[:1]), gate("CZ", p))]
+            out[f"us_per_gate.{kind}.{n}q"] = (ms(gates) - cz_ms) / GATES * 1e3
+        for kind in DOUBLE_GATES:
+            gates = [gate(kind, p) for p in pairs]
+            out[f"us_per_gate.{kind}.{n}q"] = ms(gates) / GATES * 1e3
+
+    corpus = fixtures.accepting_corpus()
+    out["corpus_accept_prob_ms"] = _best_ms(
+        lambda: [qsim.accept_prob(c, x) for c, x in corpus], 5)
+    big = qsim.random_circuit(15, 300, 15301)
+    out["random_circuit_15q_300_run_ms"] = _best_ms(lambda: qsim.run(big), 3)
+    return out
+
+
+def compare(trees: list[str], rounds: int) -> dict:
+    samples: dict[str, dict[str, list[float]]] = {t: {} for t in trees}
+    for r in range(rounds):
+        for tree in trees if r % 2 == 0 else trees[::-1]:
+            env = dict(os.environ, PYTHONPATH=tree, OMP_NUM_THREADS="1",
+                       OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+            line = subprocess.run([sys.executable, __file__], env=env, check=True,
+                                  capture_output=True, text=True).stdout
+            for name, value in json.loads(line).items():
+                samples[tree].setdefault(name, []).append(value)
+    return {tree: {name: {"median": statistics.median(v), "min": min(v), "n": len(v)}
+                   for name, v in rows.items()}
+            for tree, rows in samples.items()}
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--trees", nargs="+", help="src directories to compare")
+    parser.add_argument("--rounds", type=int, default=5)
+    args = parser.parse_args()
+    if args.trees:
+        print(json.dumps(compare(args.trees, args.rounds), indent=1))
+    else:
+        print(json.dumps(measure()))
+
+
+if __name__ == "__main__":
+    main()

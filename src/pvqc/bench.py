@@ -3,7 +3,8 @@ and the HHL methodology.
 
 Calibration works in quarter-millisecond units: circuit time T and the
 hash rate are converted so the chosen mu targets a solve time of about
-T^(1+eps) in those units, which exceeds T whenever T > 0.25 ms.  (In
+T^(1+eps) in those units, which exceeds T whenever T > 0.25 ms; a T below
+one unit counts as one unit, so the target is at least T for every T.  (In
 straight seconds the exponent would shrink sub-second times instead of
 growing them.)  Wall-clock columns are machine-dependent; medians are
 used to resist scheduler noise.
@@ -75,7 +76,7 @@ def bench_tlp(mu_list=DEFAULT_MU_LIST, repetitions: int = 5) -> list[dict]:
 
 def calibrate_cell(t_ms: float, epsilon: float, hash_rate: float) -> int:
     """Mu for a measured circuit time, in millisecond calibration units."""
-    return tlp.calibrate_mu(t_ms / CALIBRATION_UNIT_MS, epsilon,
+    return tlp.calibrate_mu(max(t_ms / CALIBRATION_UNIT_MS, 1.0), epsilon,
                             hash_rate * CALIBRATION_UNIT_MS / 1e3)
 
 

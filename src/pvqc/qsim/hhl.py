@@ -44,6 +44,9 @@ class HhlInstance:
             raise ParameterError("A must be square with power-of-two size >= 2")
         if b.shape != (n,):
             raise ParameterError("b length must match A")
+        # A NaN (or inf - inf) entry makes every comparison below false.
+        if not (np.isfinite(a).all() and np.isfinite(b).all()):
+            raise ParameterError("A and b must be finite")
         if np.abs(a - a.conj().T).max() > HERMITIAN_TOL:
             raise ParameterError("A is not Hermitian")
         if abs(np.linalg.norm(b) - 1.0) > NORM_TOL:

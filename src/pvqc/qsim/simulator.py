@@ -1,4 +1,8 @@
-"""Statevector execution and acceptance-probability evaluation."""
+"""Statevector execution and acceptance-probability evaluation.
+
+`apply_gate` is the pure single-gate reference.  `run` and `accept_prob`
+apply a whole gate list in place on one buffer, with a kernel per gate kind.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +11,7 @@ import math
 import numpy as np
 
 from ..errors import ParameterError
-from .circuit import DIAGONAL_GATES, Circuit, Gate, UNITARY_TOL
+from .circuit import DIAGONAL_GATES, SINGLE_GATES, Circuit, Gate, UNITARY_TOL
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -92,15 +96,117 @@ def apply_gate(state: np.ndarray, g: Gate, n: int) -> np.ndarray:
     return tensor.reshape(-1)
 
 
-def run(c: Circuit) -> np.ndarray:
-    """Apply the gate list in order to |0...0>. Pure and deterministic."""
+# A ufunc pays its inner-loop overhead once per contiguous run of a view,
+# so views whose runs are shorter than this are reordered longest axis last.
+_SHORT_RUN = 8
+
+_FUSABLE = frozenset(SINGLE_GATES)
+
+
+class _Views(dict):
+    """Views of one state buffer keyed by (qubit, bit) pairs: the view
+    holds the amplitudes at which every pair holds.  Kernels pass
+    order="C" to their ufuncs, so a view's last axis is the inner loop."""
+
+    def __init__(self, state: np.ndarray, n: int):
+        super().__init__()
+        self.state, self.n = state, n
+
+    def __missing__(self, fixed: tuple[tuple[int, int], ...]) -> np.ndarray:
+        shape, index, prev = [], [], -1
+        for q, b in sorted(fixed):
+            shape += [1 << (q - prev - 1), 2]
+            index += [slice(None), b]
+            prev = q
+        shape.append(1 << (self.n - 1 - prev))
+        index.append(slice(None))
+        view = self.state.reshape(shape)[tuple(index)]
+        if view.shape[-1] < _SHORT_RUN:
+            view = view.transpose(sorted(range(view.ndim), key=view.shape.__getitem__))
+        self[fixed] = view
+        return view
+
+
+def _matmul_2x2(x: list, y: list) -> list:
+    """x @ y for 2x2 matrices held as nested lists of Python complexes,
+    which for this size is several times cheaper than numpy."""
+    (a, b), (c, d) = x
+    (e, f), (g, h) = y
+    return [[a * e + b * g, a * f + b * h], [c * e + d * g, c * f + d * h]]
+
+
+def _apply_1q(views: _Views, m: list, q: int) -> None:
+    """m (a nested list) on qubit q, in place.  Diagonal m scales the
+    halves whose entry is not 1; antidiagonal m swaps them with phases."""
+    a0, a1 = views[(q, 0),], views[(q, 1),]
+    (m00, m01), (m10, m11) = m
+    if m01 == 0 and m10 == 0:
+        if m00 != 1:
+            np.multiply(a0, m00, out=a0, order="C")
+        if m11 != 1:
+            np.multiply(a1, m11, out=a1, order="C")
+    elif m00 == 0 and m11 == 0:
+        old0 = a0.copy(order="C")
+        np.multiply(a1, m01, out=a0, order="C")
+        np.multiply(old0, m10, out=a1, order="C")
+    else:
+        new0 = np.multiply(a0, m00, order="C")
+        new0 += np.multiply(a1, m01, order="C")
+        np.multiply(a1, m11, out=a1, order="C")
+        np.add(a1, np.multiply(a0, m10, order="C"), out=a1, order="C")
+        np.copyto(a0, new0)
+
+
+def _apply_2q(views: _Views, g: Gate) -> None:
+    """A CNOT, SWAP or diagonal two-qubit gate, in place."""
+    a, b = g.targets
+    if g.kind in DIAGONAL_GATES:
+        for i, d in enumerate(np.diagonal(gate_matrix(g)).tolist()):
+            if d != 1:
+                v = views[(a, i >> 1), (b, i & 1)]
+                np.multiply(v, d, out=v, order="C")
+        return
+    # CNOT swaps |10> with |11>; SWAP swaps |10> with |01>.
+    hi = 1 if g.kind == "CNOT" else 0
+    s0, s1 = views[(a, 1), (b, 0)], views[(a, hi), (b, 1)]
+    old0 = s0.copy(order="C")
+    np.copyto(s0, s1)
+    np.copyto(s1, old0)
+
+
+def _simulate(c: Circuit, basis: int) -> np.ndarray:
+    """Apply the gate list in order to the basis state |basis>, in place on
+    one buffer.  Runs of one-qubit gates on a qubit are multiplied into one
+    pending 2x2 matrix, applied when a wider gate touches that qubit or the
+    circuit ends; gates on disjoint qubits commute, so this is exact."""
     global _run_calls
     _run_calls += 1
-    state = np.zeros(2 ** c.n_qubits, dtype=complex)
-    state[0] = 1.0
+    n = c.n_qubits
+    state = np.zeros(2 ** n, dtype=complex)
+    state[basis] = 1.0
+    views = _Views(state, n)
+    pending: dict[int, list] = {}
     for g in c.gates:
-        state = apply_gate(state, g, c.n_qubits)
+        if g.kind in _FUSABLE:
+            q = g.targets[0]
+            m = gate_matrix(g).tolist()
+            pending[q] = _matmul_2x2(m, pending[q]) if q in pending else m
+            continue
+        for q in g.targets:
+            if q in pending:
+                _apply_1q(views, pending.pop(q), q)
+        if g.kind == "DENSE_UNITARY":
+            state[...] = apply_gate(state, g, n)
+        else:
+            _apply_2q(views, g)
+    for q, m in pending.items():
+        _apply_1q(views, m, q)
     return state
+
+
+def run(c: Circuit) -> np.ndarray:
+    """Apply the gate list in order to |0...0>. Pure and deterministic."""
+    return _simulate(c, 0)
 
 
 def marginal_one_prob(state: np.ndarray, qubit: int, n: int) -> float:
@@ -110,15 +216,13 @@ def marginal_one_prob(state: np.ndarray, qubit: int, n: int) -> float:
 
 def accept_prob(c: Circuit, x) -> float:
     """Exact Pr[output qubit measures 1] with classical input bits loaded
-    as X gates on the input qubits."""
+    as the basis state on the input qubits."""
     bits = list(x)
     if len(bits) != c.n_inputs:
         raise ParameterError(f"input width {len(bits)} != declared {c.n_inputs}")
     for b in bits:
         if int(b) not in (0, 1):
             raise ParameterError("input bits must be 0 or 1")
-    prep = tuple(Gate("X", (q,)) for q, b in enumerate(bits) if int(b) == 1)
-    loaded = Circuit(n_qubits=c.n_qubits, gates=prep + c.gates,
-                     output_qubit=c.output_qubit, n_inputs=c.n_inputs)
-    state = run(loaded)
-    return marginal_one_prob(state, c.output_qubit, c.n_qubits)
+    n = c.n_qubits
+    basis = sum(1 << (n - 1 - q) for q, b in enumerate(bits) if int(b) == 1)
+    return marginal_one_prob(_simulate(c, basis), c.output_qubit, n)

@@ -103,6 +103,15 @@ def test_instance_validation():
                          clock_qubits=0)
 
 
+@pytest.mark.parametrize("text", [
+    "2\n1,0 0,0\n0,0 1,0\nnan,0 0,0\n",
+    "2\ninf,0 0,0\n0,0 1,0\n1,0 0,0\n",
+], ids=["nan_in_b", "inf_in_a"])
+def test_instance_rejects_non_finite(text):
+    with pytest.raises(ParameterError):
+        qsim.hhl_instance_from_text(text)
+
+
 def test_instance_text_roundtrip():
     a, b = _well_conditioned(2, 3)
     inst = qsim.HhlInstance(a=a, b=b)

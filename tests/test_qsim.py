@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 
 from pvqc import fixtures, qsim
 from pvqc.errors import FormatError, ParameterError
-from pvqc.qsim.circuit import Gate, gate_weight
-from pvqc.qsim.simulator import apply_gate, gate_matrix
+from pvqc.qsim.circuit import (DOUBLE_GATES, GATE_ARITY, PARAM_GATES, SINGLE_GATES,
+                               Gate, gate_weight)
+from pvqc.qsim.simulator import apply_gate, gate_matrix, marginal_one_prob
 
 
 def _rand_state(n, seed=0):
@@ -125,6 +126,59 @@ def test_diagonal_fast_path_matches_generic(kind, params):
         state = _rand_state(n, seed=i)
         assert np.allclose(apply_gate(state, g, n), _generic_apply(state, g, n),
                            atol=1e-12)
+
+
+# ------------------------------------------------ fast path vs reference
+
+@st.composite
+def _circuit_and_bits(draw):
+    """1-10 qubits; every gate kind, 2-qubit targets in either order, and
+    1-2-qubit DENSE_UNITARY gates mixed in."""
+    n = draw(st.integers(1, 10))
+    kinds = [k for k in SINGLE_GATES + DOUBLE_GATES if GATE_ARITY[k] <= n]
+    kinds.append("DENSE_UNITARY")
+    gates = []
+    for _ in range(draw(st.integers(0, 40))):
+        kind = draw(st.sampled_from(kinds))
+        arity = (draw(st.integers(1, min(2, n))) if kind == "DENSE_UNITARY"
+                 else GATE_ARITY[kind])
+        targets = tuple(draw(st.permutations(range(n)))[:arity])
+        if kind == "DENSE_UNITARY":
+            rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+            dim = 2 ** arity
+            q, _ = np.linalg.qr(rng.normal(size=(dim, dim))
+                                + 1j * rng.normal(size=(dim, dim)))
+            gates.append(Gate(kind, targets, matrix=q))
+        else:
+            params = ((draw(st.floats(0.0, 2 * math.pi)),) if kind in PARAM_GATES
+                      else ())
+            gates.append(Gate(kind, targets, params=params))
+    c = qsim.Circuit(n_qubits=n, gates=tuple(gates),
+                     output_qubit=draw(st.integers(0, n - 1)))
+    return c, draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+
+
+def _reference_run(c, gates):
+    """Fold of the single-gate reference, checking that it leaves its input
+    array unchanged."""
+    state = np.zeros(2**c.n_qubits, dtype=complex)
+    state[0] = 1.0
+    for g in gates:
+        before = state.copy()
+        out = apply_gate(state, g, c.n_qubits)
+        assert np.array_equal(state, before)
+        state = out
+    return state
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_circuit_and_bits())
+def test_run_matches_reference_fold(case):
+    c, bits = case
+    assert np.abs(qsim.run(c) - _reference_run(c, c.gates)).max() <= 1e-12
+    loaded = tuple(Gate("X", (q,)) for q, b in enumerate(bits) if b) + c.gates
+    expected = marginal_one_prob(_reference_run(c, loaded), c.output_qubit, c.n_qubits)
+    assert abs(qsim.accept_prob(c, bits) - expected) <= 1e-12
 
 
 def test_dense_unitary_rejects_non_unitary():

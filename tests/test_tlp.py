@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pvqc import tlp
+from pvqc import bench, tlp
 from pvqc.errors import FormatError, ParameterError, PuzzleIntegrityError
 from pvqc.meter import MeteredClock
 
@@ -124,6 +124,12 @@ def test_calibrate_mu_limit_case():
 def test_calibrate_mu_monotone_in_t():
     mus = [tlp.calibrate_mu(t, 0.5, 1000.0) for t in (1.0, 2.0, 4.0, 8.0)]
     assert mus == sorted(mus) and len(set(mus)) == 4
+
+
+def test_calibrate_cell_floors_short_circuit_times():
+    # 0.1 ms is below one 0.25 ms calibration unit: it is charged as one
+    # unit, 250 steps at 10^6 steps/s, so the solve outlasts the circuit.
+    assert bench.calibrate_cell(0.1, 0.5, 1e6) > 100
 
 
 def test_calibrate_mu_validation():
