@@ -1,5 +1,5 @@
-"""Simulator timings, and an interleaved before/after comparison of two
-source trees.
+"""Simulator and statement timings, and an interleaved before/after
+comparison of two source trees.
 
     python scripts/bench_qsim.py
         Times the importable pvqc and prints one JSON object of metrics,
@@ -12,6 +12,10 @@ source trees.
 Per-kind rows: a two-qubit kind is timed alone, 200 gates on random pairs.
 A one-qubit kind is timed as 200 (gate, CZ) pairs minus 200 CZs alone: the
 CZ touches the gate's qubit, so each gate is applied on its own, not fused.
+
+Corpus rows: `dvproof.circuit_digest` of every statement of
+`fixtures.accepting_corpus()`, and `compiler.vc_verify_explain` of every
+statement, on sessions set up, proved and revealed before timing starts.
 """
 
 from __future__ import annotations
@@ -38,8 +42,24 @@ def _best_ms(fn, reps: int) -> float:
     return best * 1e3
 
 
+def _corpus_sessions(corpus) -> list[tuple]:
+    """vc_verify_explain arguments of one honest session per statement."""
+    from pvqc import compiler
+    from pvqc.meter import MeteredClock
+    from pvqc.timestamp import Ledger, new_mac_key
+
+    sessions = []
+    for c, x in corpus:
+        cost = compiler.CostModel.from_circuit(c)
+        crs, token = compiler.vc_setup(compiler.DEFAULT_LAMBDA, c, x, cost)
+        ledger, clock = Ledger(new_mac_key()), MeteredClock()
+        pi_tau = compiler.vc_prove(crs, c, x, token, ledger, clock, cost)
+        sessions.append((crs, c, x, pi_tau, compiler.vc_reveal(crs, clock), ledger))
+    return sessions
+
+
 def measure() -> dict[str, float]:
-    from pvqc import fixtures, qsim
+    from pvqc import compiler, dvproof, fixtures, qsim
     from pvqc.qsim.circuit import DOUBLE_GATES, PARAM_GATES, SINGLE_GATES
 
     def gate(kind, targets):
@@ -66,6 +86,13 @@ def measure() -> dict[str, float]:
     corpus = fixtures.accepting_corpus()
     out["corpus_accept_prob_ms"] = _best_ms(
         lambda: [qsim.accept_prob(c, x) for c, x in corpus], 5)
+    out["corpus_circuit_digest_ms"] = _best_ms(
+        lambda: [dvproof.circuit_digest(c) for c, _ in corpus], 15)
+    sessions = _corpus_sessions(corpus)
+    if not all(compiler.vc_verify_explain(*s)[0] for s in sessions):
+        raise RuntimeError("an honest corpus session did not verify")
+    out["corpus_verify_ms"] = _best_ms(
+        lambda: [compiler.vc_verify_explain(*s) for s in sessions], 15)
     big = qsim.random_circuit(15, 300, 15301)
     out["random_circuit_15q_300_run_ms"] = _best_ms(lambda: qsim.run(big), 3)
     return out

@@ -39,10 +39,15 @@ def _median_time(fn, repetitions: int) -> float:
 
 def measure_hash_rate(sample_steps: int = 20000) -> float:
     """Sequential chain steps per second on this machine, timed on the
-    loop that `tlp.solve` runs."""
-    start = time.perf_counter()
-    tlp._walk_chain(bytes(32), sample_steps)
-    return sample_steps / (time.perf_counter() - start)
+    loop that `tlp.solve` runs: the fastest of five samples, because a
+    deadline must hold against the fastest solver, and one sample taken
+    while the machine is busy reads the rate low."""
+    best = float("inf")
+    for _ in range(5):
+        start = time.perf_counter()
+        tlp._walk_chain(bytes(32), sample_steps)
+        best = min(best, time.perf_counter() - start)
+    return sample_steps / best
 
 
 def report_to_text(rows: list[dict]) -> str:

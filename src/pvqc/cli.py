@@ -54,13 +54,17 @@ def _clock_path(ledger_path) -> Path:
     return Path(str(ledger_path) + ".clock")
 
 
+def _load_ledger(path) -> timestamp.Ledger:
+    """An existing ledger and its key file; creates neither."""
+    return timestamp.Ledger.load(path, _key_path(path).read_bytes())
+
+
 def _open_ledger(path) -> timestamp.Ledger:
     path = Path(path)
-    key_path = _key_path(path)
     if path.exists():
-        return timestamp.Ledger.load(path, key_path.read_bytes())
+        return _load_ledger(path)
     key = timestamp.new_mac_key()
-    key_path.write_bytes(key)
+    _key_path(path).write_bytes(key)
     ledger = timestamp.Ledger(key)
     ledger.save(path)
     return ledger
@@ -129,7 +133,7 @@ def _cmd_verify(args) -> int:
     x = _read_input(args.input)
     pi_tau = compiler.parse_timestamped_proof(Path(args.proof).read_bytes())
     opening = compiler.parse_opening_record(Path(args.opening).read_bytes())
-    ledger = _open_ledger(args.ledger)
+    ledger = _load_ledger(args.ledger)
     verdict, site = compiler.vc_verify_explain(crs, circuit, x, pi_tau, opening, ledger)
     if verdict:
         print("accept")

@@ -99,24 +99,31 @@ def circuit_depth(c: Circuit) -> int:
     return depth
 
 
+# The text of every one- and two-qubit targets tuple, built once.
+_TARGET_TEXT = {(a,): str(a) for a in range(MAX_QUBITS)}
+_TARGET_TEXT.update({(a, b): f"{a},{b}" for a in range(MAX_QUBITS)
+                     for b in range(MAX_QUBITS) if a != b})
+
+
 def _fmt_complex(z: complex) -> str:
     return f"{repr(float(z.real))},{repr(float(z.imag))}"
 
 
+def _dense_text(g: Gate) -> str:
+    """A DENSE_UNITARY gate line followed by its matrix rows."""
+    targets = _TARGET_TEXT.get(g.targets) or ",".join(str(t) for t in g.targets)
+    rows = (" ".join(_fmt_complex(z) for z in row) for row in g.matrix)
+    return "\n".join([f"DENSE_UNITARY {targets}", *rows])
+
+
 def circuit_to_text(c: Circuit) -> str:
-    lines = [f"qubits {c.n_qubits} output {c.output_qubit}"
-             + (f" inputs {c.n_inputs}" if c.n_inputs != c.n_qubits else "")]
-    for g in c.gates:
-        targets = ",".join(str(t) for t in g.targets)
-        if g.kind == "DENSE_UNITARY":
-            lines.append(f"DENSE_UNITARY {targets}")
-            for row in g.matrix:
-                lines.append(" ".join(_fmt_complex(z) for z in row))
-        elif g.params:
-            lines.append(f"{g.kind} {targets} {repr(g.params[0])}")
-        else:
-            lines.append(f"{g.kind} {targets}")
-    return "\n".join(lines) + "\n"
+    head = (f"qubits {c.n_qubits} output {c.output_qubit}"
+            + (f" inputs {c.n_inputs}" if c.n_inputs != c.n_qubits else ""))
+    lines = [_dense_text(g) if g.kind == "DENSE_UNITARY"
+             else f"{g.kind} {_TARGET_TEXT[g.targets]} {g.params[0]!r}" if g.params
+             else f"{g.kind} {_TARGET_TEXT[g.targets]}"
+             for g in c.gates]
+    return "\n".join([head, *lines, ""])
 
 
 def circuit_from_text(text: str) -> Circuit:

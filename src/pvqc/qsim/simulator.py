@@ -6,6 +6,7 @@ apply a whole gate list in place on one buffer, with a kernel per gate kind.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -15,19 +16,56 @@ from .circuit import DIAGONAL_GATES, SINGLE_GATES, Circuit, Gate, UNITARY_TOL
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
+# One-qubit gate entries as nested tuples of Python complexes: the fused
+# runs of `_simulate` multiply them directly, `gate_matrix` wraps them.
 _FIXED_1Q = {
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-    "H": np.array([[1, 1], [1, -1]], dtype=complex) * _INV_SQRT2,
-    "S": np.array([[1, 0], [0, 1j]], dtype=complex),
-    "T": np.array([[1, 0], [0, np.exp(1j * math.pi / 4)]], dtype=complex),
+    "X": ((0j, 1 + 0j), (1 + 0j, 0j)),
+    "Y": ((0j, -1j), (1j, 0j)),
+    "Z": ((1 + 0j, 0j), (0j, -1 + 0j)),
+    "H": ((complex(_INV_SQRT2), complex(_INV_SQRT2)),
+          (complex(_INV_SQRT2), complex(-_INV_SQRT2))),
+    "S": ((1 + 0j, 0j), (0j, 1j)),
+    "T": ((1 + 0j, 0j), (0j, cmath.exp(1j * math.pi / 4))),
 }
+
+
+def _rx(theta: float) -> tuple:
+    c, s = complex(math.cos(theta / 2)), -1j * math.sin(theta / 2)
+    return ((c, s), (s, c))
+
+
+def _ry(theta: float) -> tuple:
+    c, s = complex(math.cos(theta / 2)), math.sin(theta / 2)
+    return ((c, complex(-s)), (complex(s), c))
+
+
+def _rz(theta: float) -> tuple:
+    t = theta / 2
+    return ((cmath.exp(-1j * t), 0j), (0j, cmath.exp(1j * t)))
+
+
+def _phase(phi: float) -> tuple:
+    return ((1 + 0j, 0j), (0j, cmath.exp(1j * phi)))
+
+
+_PARAM_1Q = {"RX": _rx, "RY": _ry, "RZ": _rz, "PHASE": _phase}
+_FUSABLE = frozenset(SINGLE_GATES)
+
+
+def _entries_1q(g: Gate) -> tuple:
+    """The 2x2 matrix of a one-qubit gate kind, as nested tuples."""
+    m = _FIXED_1Q.get(g.kind)
+    return m if m is not None else _PARAM_1Q[g.kind](g.params[0])
+
+
+def _corner_2q(g: Gate) -> complex:
+    """The |11> entry of CZ or CPHASE; their other diagonal entries are 1."""
+    return -1 + 0j if g.kind == "CZ" else cmath.exp(1j * g.params[0])
+
 
 _FIXED_2Q = {
     "CNOT": np.array([[1, 0, 0, 0], [0, 1, 0, 0],
                       [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex),
-    "CZ": np.diag([1, 1, 1, -1]).astype(complex),
     "SWAP": np.array([[1, 0, 0, 0], [0, 0, 1, 0],
                       [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex),
 }
@@ -46,25 +84,12 @@ def reset_run_calls() -> None:
 
 
 def gate_matrix(g: Gate) -> np.ndarray:
-    if g.kind in _FIXED_1Q:
-        return _FIXED_1Q[g.kind]
+    if g.kind in _FUSABLE:
+        return np.array(_entries_1q(g), dtype=complex)
     if g.kind in _FIXED_2Q:
         return _FIXED_2Q[g.kind]
-    if g.kind == "RX":
-        t = g.params[0] / 2
-        return np.array([[math.cos(t), -1j * math.sin(t)],
-                         [-1j * math.sin(t), math.cos(t)]], dtype=complex)
-    if g.kind == "RY":
-        t = g.params[0] / 2
-        return np.array([[math.cos(t), -math.sin(t)],
-                         [math.sin(t), math.cos(t)]], dtype=complex)
-    if g.kind == "RZ":
-        t = g.params[0] / 2
-        return np.diag([np.exp(-1j * t), np.exp(1j * t)])
-    if g.kind == "PHASE":
-        return np.diag([1.0, np.exp(1j * g.params[0])])
-    if g.kind == "CPHASE":
-        return np.diag([1.0, 1.0, 1.0, np.exp(1j * g.params[0])])
+    if g.kind in ("CZ", "CPHASE"):
+        return np.diag([1, 1, 1, _corner_2q(g)])
     if g.kind == "DENSE_UNITARY":
         mat = g.matrix
         dim = mat.shape[0]
@@ -100,8 +125,6 @@ def apply_gate(state: np.ndarray, g: Gate, n: int) -> np.ndarray:
 # so views whose runs are shorter than this are reordered longest axis last.
 _SHORT_RUN = 8
 
-_FUSABLE = frozenset(SINGLE_GATES)
-
 
 class _Views(dict):
     """Views of one state buffer keyed by (qubit, bit) pairs: the view
@@ -127,16 +150,16 @@ class _Views(dict):
         return view
 
 
-def _matmul_2x2(x: list, y: list) -> list:
-    """x @ y for 2x2 matrices held as nested lists of Python complexes,
+def _matmul_2x2(x: tuple, y: tuple) -> tuple:
+    """x @ y for 2x2 matrices held as nested tuples of Python complexes,
     which for this size is several times cheaper than numpy."""
     (a, b), (c, d) = x
     (e, f), (g, h) = y
-    return [[a * e + b * g, a * f + b * h], [c * e + d * g, c * f + d * h]]
+    return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
 
 
-def _apply_1q(views: _Views, m: list, q: int) -> None:
-    """m (a nested list) on qubit q, in place.  Diagonal m scales the
+def _apply_1q(views: _Views, m: tuple, q: int) -> None:
+    """m (nested tuples) on qubit q, in place.  Diagonal m scales the
     halves whose entry is not 1; antidiagonal m swaps them with phases."""
     a0, a1 = views[(q, 0),], views[(q, 1),]
     (m00, m01), (m10, m11) = m
@@ -161,10 +184,10 @@ def _apply_2q(views: _Views, g: Gate) -> None:
     """A CNOT, SWAP or diagonal two-qubit gate, in place."""
     a, b = g.targets
     if g.kind in DIAGONAL_GATES:
-        for i, d in enumerate(np.diagonal(gate_matrix(g)).tolist()):
-            if d != 1:
-                v = views[(a, i >> 1), (b, i & 1)]
-                np.multiply(v, d, out=v, order="C")
+        d = _corner_2q(g)
+        if d != 1:
+            v = views[(a, 1), (b, 1)]
+            np.multiply(v, d, out=v, order="C")
         return
     # CNOT swaps |10> with |11>; SWAP swaps |10> with |01>.
     hi = 1 if g.kind == "CNOT" else 0
@@ -185,11 +208,11 @@ def _simulate(c: Circuit, basis: int) -> np.ndarray:
     state = np.zeros(2 ** n, dtype=complex)
     state[basis] = 1.0
     views = _Views(state, n)
-    pending: dict[int, list] = {}
+    pending: dict[int, tuple] = {}
     for g in c.gates:
         if g.kind in _FUSABLE:
             q = g.targets[0]
-            m = gate_matrix(g).tolist()
+            m = _entries_1q(g)
             pending[q] = _matmul_2x2(m, pending[q]) if q in pending else m
             continue
         for q in g.targets:

@@ -107,6 +107,22 @@ def test_missing_file_is_error(workspace):
                      "--ledger", str(workspace["ledger"])]) == cli.EXIT_ERROR
 
 
+def _tree(root):
+    return {p.name: p.read_bytes() for p in root.iterdir()}
+
+
+def test_verify_writes_nothing(workspace):
+    _run_pipeline(workspace)
+    root = workspace["ledger"].parent
+    before = _tree(root)
+    assert _verify(workspace) == cli.EXIT_ACCEPT
+    assert _tree(root) == before
+    # A missing ledger is an error, and verify must not create one.
+    workspace["ledger"] = root / "missing.bin"
+    assert _verify(workspace) == cli.EXIT_ERROR
+    assert _tree(root) == before
+
+
 def test_bad_input_file_is_error(workspace):
     workspace["input"].write_text("01x")
     assert cli.main(["setup", *_statement_args(workspace),

@@ -105,6 +105,46 @@ def test_gate_matrices_unitary(g):
     assert np.allclose(mat.conj().T @ mat, np.eye(mat.shape[0]), atol=1e-9)
 
 
+_I2 = np.eye(2, dtype=complex)
+_PX = np.array([[0, 1], [1, 0]], dtype=complex)
+_PY = np.array([[0, -1j], [1j, 0]], dtype=complex)
+_PZ = np.array([[1, 0], [0, -1]], dtype=complex)
+_P0, _P1 = (_I2 + _PZ) / 2, (_I2 - _PZ) / 2
+
+
+def _phase_closed(phi):
+    return _P0 + np.exp(1j * phi) * _P1
+
+
+_CLOSED_FORMS = {
+    "X": lambda _: _PX,
+    "Y": lambda _: _PY,
+    "Z": lambda _: _PZ,
+    "H": lambda _: (_PX + _PZ) / math.sqrt(2),
+    "S": lambda _: _phase_closed(math.pi / 2),
+    "T": lambda _: _phase_closed(math.pi / 4),
+    "RX": lambda t: math.cos(t / 2) * _I2 - 1j * math.sin(t / 2) * _PX,
+    "RY": lambda t: math.cos(t / 2) * _I2 - 1j * math.sin(t / 2) * _PY,
+    "RZ": lambda t: math.cos(t / 2) * _I2 - 1j * math.sin(t / 2) * _PZ,
+    "PHASE": _phase_closed,
+    # Two-qubit kinds: targets[0] is the high bit of the matrix index.
+    "CNOT": lambda _: np.kron(_P0, _I2) + np.kron(_P1, _PX),
+    "CZ": lambda _: np.kron(_P0, _I2) + np.kron(_P1, _PZ),
+    "SWAP": lambda _: (np.kron(_I2, _I2) + np.kron(_PX, _PX) + np.kron(_PY, _PY)
+                       + np.kron(_PZ, _PZ)) / 2,
+    "CPHASE": lambda p: np.kron(_P0, _I2) + np.kron(_P1, _phase_closed(p)),
+}
+
+
+@pytest.mark.parametrize("kind", SINGLE_GATES + DOUBLE_GATES)
+@pytest.mark.parametrize("angle", [0.0, math.pi, -0.7, 1.3, 2 * math.pi + 0.5])
+def test_gate_matrix_closed_forms(kind, angle):
+    targets = (1,) if GATE_ARITY[kind] == 1 else (2, 0)
+    params = (angle,) if kind in PARAM_GATES else ()
+    got = gate_matrix(Gate(kind, targets, params=params))
+    assert np.abs(got - _CLOSED_FORMS[kind](angle)).max() <= 1e-12
+
+
 def _generic_apply(state, g, n):
     mat = gate_matrix(g)
     k = len(g.targets)
@@ -257,6 +297,32 @@ def test_generated_circuits_frozen_digests():
     cell = qsim.circuit_to_text(qsim.random_circuit(15, 300, 15301))
     assert hashlib.sha256(cell.encode()).hexdigest() == \
         "a90550ac90afa0ee3367582b5e15f55d9ebdeb126e5fac20543a14361a9837cf"
+
+
+def test_text_frozen_digest_off_corpus_branches():
+    # The circuit of test_text_roundtrip_dense_and_inputs (DENSE_UNITARY
+    # rows, `inputs 1` header), with exact matrices so that the pin does not
+    # depend on the LAPACK build, plus branches the corpus never reaches: a
+    # 3-qubit DENSE_UNITARY, signed zeros in its rows, and angles that print
+    # in exponent form, as -0.0 and as large values.
+    r = 1 / math.sqrt(2)
+    h = np.array([[r, r], [r, -r]], dtype=complex)
+    y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+    s = np.array([[1, 0], [0, 1j]], dtype=complex)
+    gates = (Gate("DENSE_UNITARY", (0, 2), matrix=np.kron(h, s)),
+             Gate("RZ", (1,), params=(0.25,)),
+             Gate("DENSE_UNITARY", (2, 0, 1), matrix=np.kron(h, np.kron(y, s))),
+             Gate("RX", (0,), params=(1e-300,)),
+             Gate("RY", (1,), params=(-0.0,)),
+             Gate("PHASE", (2,), params=(1e16,)),
+             Gate("RZ", (0,), params=(-123456789012345.67,)),
+             Gate("CPHASE", (2, 0), params=(5e-324,)),
+             Gate("H", (1,)), Gate("CNOT", (1, 2)))
+    c = qsim.Circuit(n_qubits=3, gates=gates, output_qubit=2, n_inputs=1)
+    text = qsim.circuit_to_text(c)
+    assert "RX 0 1e-300\nRY 1 -0.0\nPHASE 2 1e+16\n" in text
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "b9ce79907ff07de619f2433d3206dc82f0057dabb80897b7136d5be2ff611337"
 
 
 def test_text_parse_errors():
