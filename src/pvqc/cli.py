@@ -22,13 +22,7 @@ EXIT_ACCEPT = 0
 EXIT_REJECT = 1
 EXIT_ERROR = 2
 
-_STRATEGY_ALIASES = {
-    "honest": harness.HONEST,
-    "a1": harness.A1_GUESS_KEY,
-    "a2": harness.A2_SOLVE_THEN_FORGE,
-    "a3": harness.A3_ALT_OPENING,
-    "a4": harness.A4_RANDOM_TAG,
-}
+_STRATEGY_ALIASES = {s.split("_")[0].lower(): s for s in harness.STRATEGIES}
 
 
 def _default_seed() -> int:
@@ -145,8 +139,7 @@ def _cmd_verify(args) -> int:
 def _cmd_experiment(args) -> int:
     circuit = _read_circuit(args.circuit)
     x = _read_input(args.input)
-    spec = harness.AdversarySpec(strategy=_STRATEGY_ALIASES[args.strategy],
-                                 step_budget=args.budget)
+    spec = harness.AdversarySpec(strategy=_STRATEGY_ALIASES[args.strategy])
     cost = CostModel.from_circuit(circuit, epsilon=args.epsilon)
     report = harness.run_experiment(spec, circuit, x, lam=args.security,
                                     cost=cost, trials=args.trials, seed=args.seed)
@@ -218,7 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", choices=sorted(_STRATEGY_ALIASES), required=True)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=_default_seed())
-    p.add_argument("--budget", type=int, default=None)
     p.add_argument("--security", type=int, default=compiler.DEFAULT_LAMBDA)
     p.add_argument("--summary", help="write machine-readable summary here")
     p.set_defaults(fn=_cmd_experiment)

@@ -157,7 +157,9 @@ def vc_verify_explain(crs: Crs, c: qsim.Circuit, x, pi_tau: TimestampedProof,
         return False, REJECT_COMMITMENT
     if pi_tau.proof.claimed_bit != 1:
         return False, REJECT_CLAIMED_BIT
-    if not dvproof.verify(crs.pk, DvSecretKey(mac_key=y.sk_bytes), pi_tau.proof):
+    # An empty committed key is no MAC key: a reject, not a ParameterError.
+    if not y.sk_bytes or not dvproof.verify(
+            crs.pk, DvSecretKey(mac_key=y.sk_bytes), pi_tau.proof):
         return False, REJECT_MAC_TAG
     return True, None
 

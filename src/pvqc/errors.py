@@ -17,9 +17,5 @@ class ProofRefused(Exception):
     """The prover oracle refuses to prove a non-accepting statement."""
 
 
-class BudgetExceeded(Exception):
-    """A metered charge would exceed the active step budget."""
-
-
 class FormatError(Exception):
     """A serialized record failed to parse."""

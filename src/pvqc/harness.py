@@ -1,15 +1,18 @@
 """Soundness-experiment harness with built-in adversary strategies.
 
 The experiment runs under a metered logical clock: the adversary produces
-a timestamped proof and a claimed opening under a step budget, the first
-verification happens pre-reveal, the reveal charges exactly delta steps,
-and the second verification replays the same proof against the true
-opening.  The winning condition is
+a timestamped proof and a claimed opening, the first verification happens
+pre-reveal, the reveal charges exactly delta steps, and the second
+verification replays the same proof against the true opening.  The
+winning condition is
     (b1 or b2) and (C(x) = 0 or sk != y).
 
-Only sequential work is metered: adversaries may do arbitrary non-chain
-work (guessing keys, tagging proofs) at zero charge, since the security
-being exercised is depth-bounded, not work-bounded.
+The deadline is enforced by the timestamp alone: every sequential step an
+adversary takes moves the clock that stamps its proof, so one that solves
+the puzzle first stamps at tau >= delta and is rejected.  Only sequential
+work is metered: adversaries may do arbitrary non-chain work (guessing
+keys, tagging proofs) at zero charge, since the security being exercised
+is depth-bounded, not work-bounded.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from .compiler import (DEFAULT_LAMBDA, CostModel, Crs, TimestampedProof,
                        stamp_proof, vc_prove, vc_reveal, vc_setup,
                        vc_verify_explain)
 from .dvproof import DvSecretKey, OracleToken
-from .errors import BudgetExceeded, ParameterError, ProofRefused
+from .errors import ParameterError, ProofRefused
 from .meter import MeteredClock
 from .timestamp import Ledger, new_mac_key
 
@@ -39,13 +42,10 @@ STRATEGIES = (HONEST, A1_GUESS_KEY, A2_SOLVE_THEN_FORGE, A3_ALT_OPENING,
 @dataclass(frozen=True)
 class AdversarySpec:
     strategy: str
-    step_budget: int | None = None   # None: delta - 1 for pre-reveal strategies
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
             raise ParameterError(f"unknown strategy {self.strategy!r}")
-        if self.step_budget is not None and self.step_budget < 0:
-            raise ParameterError("step budget must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -90,8 +90,8 @@ class AggregateReport:
 
 
 def strategy_honest(crs: Crs, c, x, token: OracleToken, ledger: Ledger,
-                    clock: MeteredClock, rng: random.Random,
-                    budget: int | None) -> tuple[TimestampedProof, Opening]:
+                    clock: MeteredClock, rng: random.Random
+                    ) -> tuple[TimestampedProof, Opening]:
     """Honest prover: proves and stamps before the deadline, then solves
     the puzzle itself to present the true opening."""
     pi_tau = vc_prove(crs, c, x, token, ledger, clock)
@@ -99,47 +99,39 @@ def strategy_honest(crs: Crs, c, x, token: OracleToken, ledger: Ledger,
 
 
 def strategy_a1_guess_key(crs: Crs, c, x, token, ledger: Ledger,
-                          clock: MeteredClock, rng: random.Random,
-                          budget: int | None) -> tuple[TimestampedProof, Opening]:
+                          clock: MeteredClock, rng: random.Random
+                          ) -> tuple[TimestampedProof, Opening]:
     """Tag a proof under a uniformly guessed key and present the guessed
     opening.  Zero sequential charges.  Also serves A3: the guessed
     opening fails the commitment check, the true one the tag check."""
-    with clock.phase_budget(budget):
-        guess = rng.randbytes(32)
-        proof = dvproof.forge_proof(DvSecretKey(mac_key=guess), crs.pk, 1)
-        pi_tau = stamp_proof(proof, ledger, clock)
-        return pi_tau, Opening(sk_bytes=guess, r=rng.randbytes(32))
+    guess = rng.randbytes(32)
+    proof = dvproof.forge_proof(DvSecretKey(mac_key=guess), crs.pk, 1)
+    pi_tau = stamp_proof(proof, ledger, clock)
+    return pi_tau, Opening(sk_bytes=guess, r=rng.randbytes(32))
 
 
 def strategy_a2_solve_then_forge(crs: Crs, c, x, token, ledger: Ledger,
-                                 clock: MeteredClock, rng: random.Random,
-                                 budget: int | None
+                                 clock: MeteredClock, rng: random.Random
                                  ) -> tuple[TimestampedProof, Opening]:
     """Solve the puzzle first, then forge under the recovered true key.
 
-    Solving needs delta sequential steps; with a budget below delta the
-    work simply completes after the deadline, so the stamp carries
-    tau >= delta and both verifications reject.
+    Solving charges delta sequential steps to the clock that stamps the
+    forgery, so the stamp carries tau >= delta and both verifications
+    reject at the timestamp.
     """
-    if budget is not None and budget >= crs.delta:
-        with clock.phase_budget(budget):
-            opening = vc_reveal(crs, clock)
-    else:
-        # Cannot finish inside the budget: keep solving past the deadline.
-        opening = vc_reveal(crs, clock)
+    opening = vc_reveal(crs, clock)
     proof = dvproof.forge_proof(DvSecretKey(mac_key=opening.sk_bytes), crs.pk, 1)
     return stamp_proof(proof, ledger, clock), opening
 
 
 def strategy_a4_random_tag(crs: Crs, c, x, token, ledger: Ledger,
-                           clock: MeteredClock, rng: random.Random,
-                           budget: int | None) -> tuple[TimestampedProof, Opening]:
+                           clock: MeteredClock, rng: random.Random
+                           ) -> tuple[TimestampedProof, Opening]:
     """Stamp a proof with a random tag and claimed bit 0 plus a random
     opening; exercises the claimed-bit rejection site under the true key."""
-    with clock.phase_budget(budget):
-        proof = dvproof.DvProof(claimed_bit=0, tag=rng.randbytes(32))
-        pi_tau = stamp_proof(proof, ledger, clock)
-        return pi_tau, Opening(sk_bytes=rng.randbytes(32), r=rng.randbytes(32))
+    proof = dvproof.DvProof(claimed_bit=0, tag=rng.randbytes(32))
+    pi_tau = stamp_proof(proof, ledger, clock)
+    return pi_tau, Opening(sk_bytes=rng.randbytes(32), r=rng.randbytes(32))
 
 
 _STRATEGY_FNS = {
@@ -160,14 +152,10 @@ def run_trial(adv: AdversarySpec, c, x, lam: int, cost: CostModel,
     crs, token = vc_setup(lam, c, x, cost)
     rng = random.Random(trial_seed)
 
-    budget = adv.step_budget
-    if budget is None and adv.strategy != HONEST:
-        budget = crs.delta - 1
-
     fn = _STRATEGY_FNS[adv.strategy]
     try:
-        pi_tau, y_adv = fn(crs, c, x, token, ledger, clock, rng, budget)
-    except (BudgetExceeded, ProofRefused):
+        pi_tau, y_adv = fn(crs, c, x, token, ledger, clock, rng)
+    except ProofRefused:
         pi_tau, y_adv = None, None   # adversary output is bottom: a loss
 
     sites: list[str] = []

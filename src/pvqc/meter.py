@@ -9,16 +9,15 @@ test-stable.
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
-
-from .errors import BudgetExceeded
 
 
 class MeteredClock:
-    """Monotone step counter with an optional hard budget per phase.
+    """Monotone step counter.
 
-    `charge` is atomic; a clock may be shared by concurrent prover /
-    solver threads.
+    The deadline is enforced by the timestamp alone: sequential work done
+    before stamping moves this clock, so a proof stamped after delta steps
+    of work carries tau >= delta.  `charge` is atomic; a clock may be
+    shared by concurrent prover / solver threads.
     """
 
     def __init__(self, start: int = 0):
@@ -26,8 +25,6 @@ class MeteredClock:
             raise ValueError("clock cannot start negative")
         self._now = start
         self._lock = threading.Lock()
-        self._phase_start: int | None = None
-        self._phase_budget: int | None = None
 
     @property
     def now(self) -> int:
@@ -37,27 +34,5 @@ class MeteredClock:
         if steps < 0:
             raise ValueError("cannot charge negative steps")
         with self._lock:
-            if self._phase_budget is not None:
-                used = self._now - self._phase_start
-                if used + steps > self._phase_budget:
-                    raise BudgetExceeded(
-                        f"charge of {steps} exceeds phase budget "
-                        f"{self._phase_budget} (used {used})"
-                    )
             self._now += steps
             return self._now
-
-    @contextmanager
-    def phase_budget(self, budget: int | None):
-        """Bound all charges inside the context to at most `budget` steps.
-
-        A budget of None means unlimited.
-        """
-        prev = (self._phase_start, self._phase_budget)
-        if budget is not None:
-            self._phase_start = self._now
-            self._phase_budget = budget
-        try:
-            yield self
-        finally:
-            self._phase_start, self._phase_budget = prev

@@ -2,7 +2,7 @@
 
 from .circuit import (Circuit, Gate, GATE_ARITY, PARAM_GATES, circuit_depth,
                       circuit_from_text, circuit_to_text)
-from .simulator import accept_prob, reset_run_calls, run, run_calls
+from .simulator import accept_prob, run, run_calls
 from .randcirc import random_accepting_circuit, random_circuit
 from .hhl import (HhlInstance, build_hhl, classical_solve, default_evolution_time,
                   hhl_fidelity, hhl_instance_from_text, hhl_instance_to_text)
@@ -15,5 +15,5 @@ __all__ = [
     "circuit_from_text", "circuit_to_text", "classical_solve",
     "default_evolution_time", "hhl_fidelity", "hhl_instance_from_text",
     "hhl_instance_to_text", "random_accepting_circuit", "random_circuit",
-    "reset_run_calls", "run", "run_calls",
+    "run", "run_calls",
 ]

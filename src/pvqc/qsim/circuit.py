@@ -105,14 +105,20 @@ _TARGET_TEXT.update({(a, b): f"{a},{b}" for a in range(MAX_QUBITS)
                      for b in range(MAX_QUBITS) if a != b})
 
 
-def _fmt_complex(z: complex) -> str:
-    return f"{repr(float(z.real))},{repr(float(z.imag))}"
+def fmt_complex(z: complex) -> str:
+    """The `re,im` text of a matrix or vector entry."""
+    return f"{float(z.real)!r},{float(z.imag)!r}"
+
+
+def parse_complex(text: str) -> complex:
+    """Inverse of `fmt_complex`; TypeError or ValueError on bad text."""
+    return complex(*map(float, text.split(",")))
 
 
 def _dense_text(g: Gate) -> str:
     """A DENSE_UNITARY gate line followed by its matrix rows."""
     targets = _TARGET_TEXT.get(g.targets) or ",".join(str(t) for t in g.targets)
-    rows = (" ".join(_fmt_complex(z) for z in row) for row in g.matrix)
+    rows = (" ".join(fmt_complex(z) for z in row) for row in g.matrix)
     return "\n".join([f"DENSE_UNITARY {targets}", *rows])
 
 
@@ -165,7 +171,7 @@ def circuit_from_text(text: str) -> Circuit:
                 if len(entries) != dim:
                     raise FormatError("bad DENSE_UNITARY row width")
                 try:
-                    rows.append([complex(*map(float, e.split(","))) for e in entries])
+                    rows.append([parse_complex(e) for e in entries])
                 except (TypeError, ValueError) as exc:
                     raise FormatError(f"bad DENSE_UNITARY row: {row_line!r}") from exc
             i += dim

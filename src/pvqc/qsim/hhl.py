@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import FormatError, ParameterError
-from .circuit import Circuit, Gate
+from .circuit import Circuit, Gate, fmt_complex, parse_complex
 from .simulator import run
 
 HERMITIAN_TOL = 1e-9
@@ -196,13 +196,10 @@ def hhl_fidelity(inst: HhlInstance) -> float:
 
 
 def hhl_instance_to_text(inst: HhlInstance) -> str:
-    def fmt(z: complex) -> str:
-        return f"{float(z.real)!r},{float(z.imag)!r}"
-
     lines = [str(inst.n)]
     for row in inst.a:
-        lines.append(" ".join(fmt(z) for z in row))
-    lines.append(" ".join(fmt(z) for z in inst.b))
+        lines.append(" ".join(fmt_complex(z) for z in row))
+    lines.append(" ".join(fmt_complex(z) for z in inst.b))
     return "\n".join(lines) + "\n"
 
 
@@ -213,9 +210,8 @@ def hhl_instance_from_text(text: str, clock_qubits: int = DEFAULT_CLOCK_QUBITS,
         n = int(lines[0])
         if len(lines) != n + 2:
             raise FormatError("wrong number of instance rows")
-        rows = [[complex(*map(float, e.split(","))) for e in ln.split()]
-                for ln in lines[1:n + 1]]
-        b = [complex(*map(float, e.split(","))) for e in lines[n + 1].split()]
+        rows = [[parse_complex(e) for e in ln.split()] for ln in lines[1:n + 1]]
+        b = [parse_complex(e) for e in lines[n + 1].split()]
     except (IndexError, TypeError, ValueError) as exc:
         raise FormatError("bad HHL instance file") from exc
     if any(len(r) != n for r in rows) or len(b) != n:

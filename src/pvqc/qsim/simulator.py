@@ -78,11 +78,6 @@ def run_calls() -> int:
     return _run_calls
 
 
-def reset_run_calls() -> None:
-    global _run_calls
-    _run_calls = 0
-
-
 def gate_matrix(g: Gate) -> np.ndarray:
     if g.kind in _FUSABLE:
         return np.array(_entries_1q(g), dtype=complex)

@@ -47,11 +47,6 @@ def chain_calls() -> int:
     return _chain_calls
 
 
-def reset_chain_calls() -> None:
-    global _chain_calls
-    _chain_calls = 0
-
-
 @dataclass(frozen=True)
 class TlpPublicParams:
     seed: bytes          # chain start s0, 32 bytes

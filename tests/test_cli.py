@@ -2,6 +2,7 @@
 experiment and bench subcommands, exit-code discipline, and the example
 scripts."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -9,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from pvqc import cli, harness, qsim
+from pvqc import cli, commit, compiler, harness, qsim
+from pvqc.commit import Opening
 from pvqc.fixtures import small_accepting_circuit, small_rejecting_circuit
 
 
@@ -98,6 +100,18 @@ def test_prove_rejecting_circuit_errors(workspace, tmp_path):
                      "--oracle", str(workspace["oracle"]),
                      "--ledger", str(workspace["ledger"]),
                      "--proof", str(workspace["proof"])]) == cli.EXIT_ERROR
+
+
+def test_verify_empty_committed_key_rejects(workspace, capsys):
+    _run_pipeline(workspace)
+    crs = compiler.parse_crs(workspace["crs"].read_bytes())
+    r = bytes(32)
+    crs = dataclasses.replace(crs, commitment=commit.commit(b"", r))
+    workspace["crs"].write_bytes(compiler.serialize_crs(crs))
+    workspace["opening"].write_bytes(
+        compiler.serialize_opening(Opening(sk_bytes=b"", r=r)))
+    assert _verify(workspace) == cli.EXIT_REJECT
+    assert "site=mac_tag" in capsys.readouterr().out
 
 
 def test_missing_file_is_error(workspace):

@@ -1,6 +1,8 @@
 """Compiler tests: the four protocol phases end to end, deadline math,
 every rejection site, serialization, and verifier frugality."""
 
+import dataclasses
+
 import pytest
 
 from pvqc import commit, compiler, dvproof, qsim, tlp
@@ -139,6 +141,16 @@ def test_reject_site_mac_tag():
     stamp = ledger.stamp(dvproof.serialize_proof(proof), clock)
     pi_tau = TimestampedProof(proof=proof, tau=stamp.tau, stamp_tag=stamp.auth_tag)
     verdict, site = compiler.vc_verify_explain(crs, c, x, pi_tau, opening, ledger)
+    assert not verdict and site == compiler.REJECT_MAC_TAG
+
+
+def test_verify_rejects_empty_committed_key():
+    # A CRS may commit to an empty key; its opening passes the commitment
+    # check but is no MAC key, which must be a mac_tag reject, not an error.
+    c, x, crs, pi_tau, opening, ledger = _honest_artifacts()
+    crs = dataclasses.replace(crs, commitment=commit.commit(b"", opening.r))
+    empty = Opening(sk_bytes=b"", r=opening.r)
+    verdict, site = compiler.vc_verify_explain(crs, c, x, pi_tau, empty, ledger)
     assert not verdict and site == compiler.REJECT_MAC_TAG
 
 
