@@ -58,7 +58,7 @@ def _open_ledger(path) -> timestamp.Ledger:
     if path.exists():
         return _load_ledger(path)
     key = timestamp.new_mac_key()
-    _key_path(path).write_bytes(key)
+    timestamp.write_atomic(_key_path(path), key)
     ledger = timestamp.Ledger(key)
     ledger.save(path)
     return ledger

@@ -148,8 +148,11 @@ def vc_verify_explain(crs: Crs, c: qsim.Circuit, x, pi_tau: TimestampedProof,
     """
     if pi_tau.tau >= crs.tpk.mu:     # crs.delta, read without the property call
         return False, REJECT_TIMESTAMP
-    if (dvproof.circuit_digest(c) != crs.pk.circuit_digest
-            or dvproof.input_digest(x) != crs.pk.input_digest):
+    try:
+        if (dvproof.circuit_digest(c) != crs.pk.circuit_digest
+                or dvproof.input_digest(x) != crs.pk.input_digest):
+            return False, REJECT_STATEMENT
+    except ParameterError:          # an input entry that is not a bit
         return False, REJECT_STATEMENT
     if not ledger.verify(dvproof.serialize_proof(pi_tau.proof), pi_tau.stamp()):
         return False, REJECT_STAMP

@@ -24,6 +24,7 @@ from . import qsim
 
 _PROOF_DOMAIN = b"DVPROOFv1"
 _INPUT_DOMAIN = b"DVINPUTv1"
+_CIRCUIT_DOMAIN = b"DVCIRCUITv2"
 
 _TOKEN_MAGIC = b"PVQO"
 _PROOF_MAGIC = b"PVQP"
@@ -73,11 +74,21 @@ class OracleToken:
 
 
 def circuit_digest(c: qsim.Circuit) -> bytes:
-    return hashlib.sha256(qsim.circuit_to_text(c).encode()).digest()
+    """SHA-256 of the statement's binary encoding under a domain tag.
+
+    The earlier digest hashed the circuit's text, which starts with
+    `qubits` and carries no tag, so it never equals this one: a CRS made
+    before the binary encoding rejects at the statement check.
+    """
+    return hashlib.sha256(_CIRCUIT_DOMAIN + qsim.circuit_to_bytes(c)).digest()
 
 
 def input_digest(x) -> bytes:
-    return hashlib.sha256(_INPUT_DOMAIN + bytes(int(b) for b in x)).digest()
+    """SHA-256 of the input bits; ParameterError unless each entry is 0 or 1."""
+    bits = list(x)
+    if bits.count(0) + bits.count(1) != len(bits):
+        raise ParameterError("input entries must be 0 or 1")
+    return hashlib.sha256(_INPUT_DOMAIN + bytes(map(int, bits))).digest()
 
 
 def keygen(lam: int, c: qsim.Circuit, x) -> tuple[DvPublicKey, DvSecretKey]:

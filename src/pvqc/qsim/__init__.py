@@ -1,7 +1,7 @@
 """Dense statevector simulation of small quantum circuits."""
 
 from .circuit import (Circuit, Gate, GATE_ARITY, PARAM_GATES, circuit_depth,
-                      circuit_from_text, circuit_to_text)
+                      circuit_from_text, circuit_to_bytes, circuit_to_text)
 from .simulator import accept_prob, run, run_calls
 from .randcirc import random_accepting_circuit, random_circuit
 from .hhl import (HhlInstance, build_hhl, classical_solve, default_evolution_time,
@@ -12,7 +12,7 @@ ACCEPT_THRESHOLD = 2.0 / 3.0
 __all__ = [
     "ACCEPT_THRESHOLD", "Circuit", "Gate", "GATE_ARITY", "PARAM_GATES",
     "HhlInstance", "accept_prob", "build_hhl", "circuit_depth",
-    "circuit_from_text", "circuit_to_text", "classical_solve",
+    "circuit_from_text", "circuit_to_bytes", "circuit_to_text", "classical_solve",
     "default_evolution_time", "hhl_fidelity", "hhl_instance_from_text",
     "hhl_instance_to_text", "random_accepting_circuit", "random_circuit",
     "run", "run_calls",

@@ -1,14 +1,19 @@
-"""Gate-list circuit representation, depth metric, and text serialization.
+"""Gate-list circuit representation, depth metric, text serialization
+and the binary statement encoding.
 
 Qubit 0 is the most significant bit of the amplitude index.  The text
 format is line-oriented: header `qubits N output K` (plus `inputs M` when
 the input width differs from N), then one gate per line
 `KIND target[,target] [angle]`; DENSE_UNITARY blocks follow inline as
-rows of `re,im` pairs.
+rows of `re,im` pairs.  The text is the file format; a statement's digest
+hashes `circuit_to_bytes` instead.
 """
 
 from __future__ import annotations
 
+import struct
+import sys
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,6 +49,8 @@ class Gate:
             mat = np.asarray(self.matrix, dtype=complex)
             if mat.shape != (dim, dim):
                 raise ParameterError("matrix shape does not match target count")
+            if self.params:
+                raise ParameterError("wrong parameter count for DENSE_UNITARY")
             object.__setattr__(self, "matrix", mat)
         elif self.kind in GATE_ARITY:
             if len(self.targets) != GATE_ARITY[self.kind]:
@@ -130,6 +137,74 @@ def circuit_to_text(c: Circuit) -> str:
              else f"{g.kind} {_TARGET_TEXT[g.targets]}"
              for g in c.gates]
     return "\n".join([head, *lines, ""])
+
+
+# One byte per kind in `circuit_to_bytes`.  Written out, not derived from
+# the kind tuples, so that a new kind takes a new code and never renumbers
+# the old ones.  Every code is above MAX_QUBITS, so no target or target
+# count byte equals one: the DENSE_UNITARY code occurs in the ops only
+# when such a gate does, and an encoding without one skips the matrix scan.
+_KIND_CODE = {"X": 0x21, "Y": 0x22, "Z": 0x23, "H": 0x24, "S": 0x25, "T": 0x26,
+              "RX": 0x27, "RY": 0x28, "RZ": 0x29, "PHASE": 0x2A, "CNOT": 0x2B,
+              "CZ": 0x2C, "SWAP": 0x2D, "CPHASE": 0x2E, "DENSE_UNITARY": 0x2F}
+_DENSE_CODE = _KIND_CODE["DENSE_UNITARY"]
+
+
+class _DenseOps(dict):
+    """DENSE_UNITARY op bytes: kind code, target count, targets."""
+
+    def __missing__(self, targets):
+        return bytes([_DENSE_CODE, len(targets), *targets])
+
+
+# The op bytes (kind code, then one byte per target) of every fixed-arity
+# gate, keyed by kind and then by targets, built once.  Nesting the two
+# keys saves building a (kind, targets) tuple per gate.
+_GATE_BYTES = {kind: {t: bytes([_KIND_CODE[kind], *t]) for t in _TARGET_TEXT
+                      if len(t) == GATE_ARITY[kind]}
+               for kind in GATE_ARITY}
+_GATE_BYTES["DENSE_UNITARY"] = _DenseOps()
+
+# n_qubits, output_qubit and n_inputs fit a byte each (MAX_QUBITS < 256).
+_HEADER = struct.Struct("<BBBQ")
+_BIG_ENDIAN = sys.byteorder == "big"
+
+
+def circuit_to_bytes(c: Circuit) -> bytes:
+    """The canonical binary encoding of a statement, which its digest hashes.
+
+    Layout, little-endian, in four parts:
+      1. header `<BBBQ`: n_qubits, output_qubit, n_inputs, gate count;
+      2. one op per gate: its kind code, then for DENSE_UNITARY the target
+         count, then one byte per target;
+      3. the parameters of all gates, in gate order, each as `<d`;
+      4. the DENSE_UNITARY matrices, in gate order, each as row-major `<c16`.
+
+    Injective: the header fixes the gate count.  An op's first byte is its
+    kind, and the kind fixes the op's length (its arity, or the count byte
+    after it), so the ops parse back one by one.  The kinds then fix how
+    many parameters follow (one for PARAM_GATES, none otherwise; `Gate`
+    enforces it) and each matrix's size (4^k entries for k targets), and
+    the length of the whole is fixed too.  So two circuits encode alike
+    iff their header fields, kinds, targets and the bits of their float
+    parameters and matrix entries agree.  For float parameters that is iff
+    their `circuit_to_text` agree, since `repr` round-trips a double,
+    signed zeros included; only NaNs, which all print as `nan`, can differ
+    in bytes and not in text.
+    """
+    gates = c.gates
+    ops = b"".join([_GATE_BYTES[g.kind][g.targets] for g in gates])
+    parts = [_HEADER.pack(c.n_qubits, c.output_qubit, c.n_inputs, len(gates)), ops]
+    params = [p for g in gates if g.params for p in g.params]
+    if params:
+        packed = array("d", params)
+        if _BIG_ENDIAN:
+            packed.byteswap()
+        parts.append(packed.tobytes())
+    if _DENSE_CODE in ops:
+        parts += [g.matrix.astype("<c16", copy=False).tobytes()
+                  for g in gates if g.kind == "DENSE_UNITARY"]
+    return b"".join(parts)
 
 
 def circuit_from_text(text: str) -> Circuit:

@@ -9,8 +9,10 @@ The ledger never escrows secrets.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import hmac
+import os
 import secrets
 import struct
 import threading
@@ -46,10 +48,29 @@ def _tag(mac_key: bytes, blob_digest: bytes, tau: int) -> bytes:
                     hashlib.sha256).digest()
 
 
+def write_atomic(path, data: bytes) -> None:
+    """Replace the file at `path` with `data` by way of a temp file in the
+    same directory and `os.replace`: readers, and a write that fails
+    midway, leave the old file or the new one, never a part of either.
+    Atomic, not durable: nothing is fsync'd.
+    """
+    tmp = f"{os.fspath(path)}.{secrets.token_hex(4)}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
 class Ledger:
     """Append-only record list (blob digest, tau, tag) under one MAC key.
 
-    Single writer; concurrent readers of a saved file are safe.
+    Single writer; saves are atomic, so concurrent readers of a saved file
+    are safe.
     """
 
     def __init__(self, mac_key: bytes):
@@ -84,11 +105,10 @@ class Ledger:
                                    stamp.auth_tag)
 
     def save(self, path) -> None:
+        data = _MAGIC + bytes([_VERSION]) + b"".join(
+            digest + struct.pack(">Q", tau) + tag for digest, tau, tag in self._records)
         try:
-            with open(path, "wb") as fh:
-                fh.write(_MAGIC + bytes([_VERSION]))
-                for digest, tau, tag in self._records:
-                    fh.write(digest + struct.pack(">Q", tau) + tag)
+            write_atomic(path, data)
         except OSError as exc:
             raise LedgerError(f"cannot write ledger: {exc}") from exc
 

@@ -3,6 +3,7 @@ experiment and bench subcommands, exit-code discipline, and the example
 scripts."""
 
 import dataclasses
+import errno
 import os
 import subprocess
 import sys
@@ -135,6 +136,21 @@ def test_verify_writes_nothing(workspace):
     workspace["ledger"] = root / "missing.bin"
     assert _verify(workspace) == cli.EXIT_ERROR
     assert _tree(root) == before
+
+
+def test_new_ledger_files_are_written_whole(tmp_path, monkeypatch):
+    # The key file and the ledger go through a temp file and a rename:
+    # when the rename fails, neither appears and no temp file is left.
+    def failing_replace(src, dst):
+        raise OSError(errno.EIO, "rename failed")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError):
+        cli._open_ledger(tmp_path / "ledger.bin")
+    monkeypatch.undo()
+    assert list(tmp_path.iterdir()) == []
+    cli._open_ledger(tmp_path / "ledger.bin")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ledger.bin", "ledger.bin.key"]
 
 
 def test_bad_input_file_is_error(workspace):

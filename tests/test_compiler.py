@@ -2,6 +2,7 @@
 every rejection site, serialization, and verifier frugality."""
 
 import dataclasses
+import hashlib
 
 import pytest
 
@@ -105,6 +106,26 @@ def test_reject_site_statement():
     verdict, site = compiler.vc_verify_explain(crs, other_c, x, pi_tau, opening, ledger)
     assert not verdict and site == compiler.REJECT_STATEMENT
     verdict, site = compiler.vc_verify_explain(crs, c, [1, 0, 0], pi_tau, opening, ledger)
+    assert not verdict and site == compiler.REJECT_STATEMENT
+
+
+@pytest.mark.parametrize("x", [[0, 0, 256], [0, 0, -1], [0, 0, 2], [0, 0, 0.5]])
+def test_non_bit_input_rejects_at_statement(x):
+    c, _, crs, pi_tau, opening, ledger = _honest_artifacts()
+    verdict, site = compiler.vc_verify_explain(crs, c, x, pi_tau, opening, ledger)
+    assert not verdict and site == compiler.REJECT_STATEMENT
+    with pytest.raises(ParameterError):
+        compiler.vc_setup(256, c, x, CostModel.from_circuit(c))
+
+
+def test_text_digest_of_statement_rejects():
+    # The digest before the binary encoding was sha256 of the circuit text.
+    # A CRS that carries it must never verify, even for the same statement.
+    c, x, crs, pi_tau, opening, ledger = _honest_artifacts()
+    text_digest = hashlib.sha256(qsim.circuit_to_text(c).encode()).digest()
+    crs = dataclasses.replace(
+        crs, pk=dataclasses.replace(crs.pk, circuit_digest=text_digest))
+    verdict, site = compiler.vc_verify_explain(crs, c, x, pi_tau, opening, ledger)
     assert not verdict and site == compiler.REJECT_STATEMENT
 
 

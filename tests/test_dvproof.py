@@ -1,13 +1,16 @@
 """Designated-verifier backend tests: honest proving, refusal, token
 gating, forgery with sk, random-tag soundness, and record formats."""
 
+import math
 import random
 
+import numpy as np
 import pytest
 
 from pvqc import dvproof, qsim
 from pvqc.errors import FormatError, ParameterError, ProofRefused
 from pvqc.fixtures import small_accepting_circuit, small_rejecting_circuit
+from pvqc.qsim import Gate
 
 
 def _session(circuit=None, x=None):
@@ -96,6 +99,37 @@ def test_keygen_validation():
         dvproof.keygen(12, c, x)
     with pytest.raises(ParameterError):
         dvproof.keygen(256, c, [0, 0])
+
+
+def test_circuit_digest_frozen():
+    # Recorded when the digest moved to the binary encoding.  The second
+    # circuit has the shape of test_qsim's off-corpus text pin: 2- and
+    # 3-qubit DENSE_UNITARY with signed zeros (exact products, no LAPACK),
+    # extreme and signed-zero angles, and fewer inputs than qubits.
+    c, _ = small_accepting_circuit()
+    assert dvproof.circuit_digest(c).hex() == \
+        "10f8e5ef0e00fcba7cee3f56b4ab122c4333eb6b128de1c76edf3d3319df3afc"
+    r = 1 / math.sqrt(2)
+    hs = np.kron([[r, r], [r, -r]], [[1, 0], [0, 1j]])
+    gates = (Gate("DENSE_UNITARY", (0, 2), matrix=hs),
+             Gate("RZ", (1,), params=(0.25,)),
+             Gate("DENSE_UNITARY", (2, 0, 1), matrix=np.kron(hs, [[0, -1j], [1j, 0]])),
+             Gate("RX", (0,), params=(1e-300,)), Gate("RY", (1,), params=(-0.0,)),
+             Gate("PHASE", (2,), params=(1e16,)),
+             Gate("CPHASE", (2, 0), params=(5e-324,)),
+             Gate("H", (1,)), Gate("CNOT", (1, 2)))
+    c = qsim.Circuit(n_qubits=3, gates=gates, output_qubit=2, n_inputs=1)
+    assert dvproof.circuit_digest(c).hex() == \
+        "27dbda8d9b439db9d81426eeccb8f2a714802f389d6fb8794b1dba486bab2427"
+
+
+@pytest.mark.parametrize("x", [[0, 0, 256], [0, 0, -1], [0, 0, 2], [0, 0, 0.5]])
+def test_input_digest_rejects_non_bits(x):
+    c, _ = small_accepting_circuit()
+    with pytest.raises(ParameterError):
+        dvproof.input_digest(x)
+    with pytest.raises(ParameterError):
+        dvproof.keygen(256, c, x)
 
 
 def test_token_serialization_roundtrip():

@@ -1,8 +1,11 @@
 """Simulator tests: analytic probabilities, unitarity/normalization,
 gate inverses, depth metric, text round-trips, and instrumentation."""
 
+import dataclasses
 import hashlib
+import itertools
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -336,6 +339,153 @@ def test_text_parse_errors():
         qsim.circuit_from_text("qubits 2 output 0\nDENSE_UNITARY 0\n1.0,0.0 0.0,0.0\n")
 
 
+# --------------------------------------------------------- binary encoding
+
+def test_bytes_layout():
+    # Header <BBBQ; ops (kind code, DENSE_UNITARY's target count, targets);
+    # parameters as <d; matrices as <c16.
+    m = np.eye(8)
+    gates = (Gate("RX", (2,), params=(0.5,)), Gate("CNOT", (0, 1)),
+             Gate("DENSE_UNITARY", (1, 0, 2), matrix=m),
+             Gate("CPHASE", (1, 2), params=(-0.0,)))
+    c = qsim.Circuit(n_qubits=3, gates=gates, output_qubit=1, n_inputs=2)
+    assert qsim.circuit_to_bytes(c) == (
+        struct.pack("<BBBQ", 3, 1, 2, 4)
+        + bytes([0x27, 2, 0x2B, 0, 1, 0x2F, 3, 1, 0, 2, 0x2E, 1, 2])
+        + struct.pack("<dd", 0.5, -0.0) + m.astype("<c16").tobytes())
+
+
+def test_bytes_of_one_gate_circuits_differ():
+    # Every kind on every targets tuple of 3 qubits, with equal angles and
+    # equal matrices, so that only the kind and the targets tell them apart.
+    encodings = set()
+    for kind in SINGLE_GATES + DOUBLE_GATES + ("DENSE_UNITARY",):
+        arities = (1, 2, 3) if kind == "DENSE_UNITARY" else (GATE_ARITY[kind],)
+        for targets in (t for k in arities for t in itertools.permutations(range(3), k)):
+            gate = (Gate(kind, targets, matrix=np.eye(2 ** len(targets)))
+                    if kind == "DENSE_UNITARY"
+                    else Gate(kind, targets, params=(0.5,) * (kind in PARAM_GATES)))
+            encodings.add(qsim.circuit_to_bytes(qsim.Circuit(3, (gate,), 0)))
+    assert len(encodings) == 10 * 3 + 4 * 6 + (3 + 6 + 6)
+
+
+_ZEROS = (0.0, -0.0)
+
+
+@st.composite
+def _statement(draw):
+    """2-5 qubits and every gate kind, DENSE_UNITARY on 1-3 targets; angles
+    and matrix entries are often signed zeros, never NaN."""
+    n = draw(st.integers(2, 5))
+    gates = []
+    for _ in range(draw(st.integers(1, 10))):
+        kind = draw(st.sampled_from(SINGLE_GATES + DOUBLE_GATES + ("DENSE_UNITARY",)))
+        arity = (draw(st.integers(1, min(3, n))) if kind == "DENSE_UNITARY"
+                 else GATE_ARITY[kind])
+        targets = tuple(draw(st.permutations(range(n)))[:arity])
+        if kind == "DENSE_UNITARY":
+            size = 4 ** arity
+            part = st.lists(st.sampled_from(_ZEROS + (1.0, -0.5)),
+                            min_size=size, max_size=size)
+            matrix = np.empty((2 ** arity, 2 ** arity), dtype=complex)
+            matrix.real.flat, matrix.imag.flat = draw(part), draw(part)
+            gates.append(Gate(kind, targets, matrix=matrix))
+        else:
+            angle = st.one_of(st.sampled_from(_ZEROS), st.floats(allow_nan=False))
+            params = (draw(angle),) if kind in PARAM_GATES else ()
+            gates.append(Gate(kind, targets, params=params))
+    return qsim.Circuit(n_qubits=n, gates=tuple(gates),
+                        output_qubit=draw(st.integers(0, n - 1)),
+                        n_inputs=draw(st.integers(0, n)))
+
+
+def _same_kind_family(kind):
+    """The other kinds with the arity and the parameter count of `kind`."""
+    return [k for k in SINGLE_GATES + DOUBLE_GATES if k != kind
+            and GATE_ARITY[k] == GATE_ARITY[kind]
+            and (k in PARAM_GATES) == (kind in PARAM_GATES)]
+
+
+def _zero_sites(g):
+    """(part, index) of each signed zero in an angle or a matrix entry."""
+    if g.kind == "DENSE_UNITARY":
+        return [(part, i) for part in ("real", "imag")
+                for i, v in enumerate(getattr(g.matrix, part).flat) if v == 0]
+    return [("param", 0)] if g.params and g.params[0] == 0 else []
+
+
+def _flip_zero(g, part, i):
+    if part == "param":
+        return dataclasses.replace(g, params=(-g.params[0],))
+    matrix = g.matrix.copy()
+    view = getattr(matrix, part).reshape(-1)
+    view[i] = -view[i]
+    return Gate(g.kind, g.targets, matrix=matrix)
+
+
+@st.composite
+def _mutated_statement(draw):
+    """A random statement and a copy with one mutation, or re-read from its
+    own text."""
+    c = draw(_statement())
+    gates = list(c.gates)
+    idx = range(len(gates))
+
+    def with_gate(i, g):
+        return dataclasses.replace(c, gates=tuple(gates[:i] + [g] + gates[i + 1:]))
+
+    kind_swap = [i for i in idx if gates[i].kind != "DENSE_UNITARY"
+                 and _same_kind_family(gates[i].kind)]
+    two_qubit = [i for i in idx if len(gates[i].targets) == 2]
+    angled = [i for i in idx if gates[i].params]
+    zeros = [(i, site) for i in idx for site in _zero_sites(gates[i])]
+    moves = ["text", "output", "inputs", "drop", "duplicate"]
+    moves += ["kind"] * bool(kind_swap) + ["reverse"] * bool(two_qubit)
+    moves += ["ulp"] * bool(angled) + ["zero"] * bool(zeros)
+    moves += ["swap"] * (len(gates) > 1)
+    move = draw(st.sampled_from(moves))
+    n = c.n_qubits
+    if move == "text":
+        return c, qsim.circuit_from_text(qsim.circuit_to_text(c))
+    if move == "output":
+        return c, dataclasses.replace(c, output_qubit=(c.output_qubit + 1) % n)
+    if move == "inputs":
+        return c, dataclasses.replace(c, n_inputs=(c.n_inputs + 1) % (n + 1))
+    if move == "kind":
+        i = draw(st.sampled_from(kind_swap))
+        kind = draw(st.sampled_from(_same_kind_family(gates[i].kind)))
+        return c, with_gate(i, dataclasses.replace(gates[i], kind=kind))
+    if move == "reverse":
+        i = draw(st.sampled_from(two_qubit))
+        reversed_targets = gates[i].targets[::-1]
+        return c, with_gate(i, dataclasses.replace(gates[i], targets=reversed_targets))
+    if move == "ulp":
+        i = draw(st.sampled_from(angled))
+        p = gates[i].params[0]
+        moved = math.nextafter(p, -math.inf if p > 0 else math.inf)
+        return c, with_gate(i, dataclasses.replace(gates[i], params=(moved,)))
+    if move == "zero":
+        i, (part, at) = draw(st.sampled_from(zeros))
+        return c, with_gate(i, _flip_zero(gates[i], part, at))
+    if move == "swap":
+        i = draw(st.integers(0, len(gates) - 2))
+        gates[i], gates[i + 1] = gates[i + 1], gates[i]
+    elif move == "drop":
+        del gates[draw(st.sampled_from(idx))]
+    else:
+        i = draw(st.sampled_from(idx))
+        gates.insert(i, gates[i])
+    return c, dataclasses.replace(c, gates=tuple(gates))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=_mutated_statement())
+def test_bytes_equal_iff_text_equal(pair):
+    a, b = pair
+    assert (qsim.circuit_to_bytes(a) == qsim.circuit_to_bytes(b)) == \
+        (qsim.circuit_to_text(a) == qsim.circuit_to_text(b))
+
+
 # ----------------------------------------------------------- validation etc.
 
 def test_circuit_validation():
@@ -364,6 +514,8 @@ def test_gate_validation():
         Gate("NOPE", (0,))
     with pytest.raises(ParameterError):
         Gate("DENSE_UNITARY", (0,))
+    with pytest.raises(ParameterError):
+        Gate("DENSE_UNITARY", (0,), params=(1.0,), matrix=np.eye(2))
 
 
 def test_accept_prob_input_width_checked():

@@ -1,6 +1,7 @@
 """Timestamp ledger unit tests: frozen tag, stamping semantics, tamper
 and forgery rejection, and file persistence."""
 
+import errno
 import random
 
 import pytest
@@ -127,6 +128,48 @@ def test_load_rejects_non_increasing_tau(tmp_path):
     path.write_bytes(bytes(data))
     with pytest.raises(LedgerError):
         timestamp.Ledger.load(path, key)
+
+
+class _HalfWriter:
+    """A file that writes half of what it is given, then fails as a full
+    disk does."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def write(self, data):
+        self._fh.write(data[:len(data) // 2])
+        self._fh.flush()
+        raise OSError(errno.ENOSPC, "no space left on device")
+
+
+def test_failed_save_keeps_previous_ledger(tmp_path, monkeypatch):
+    key = timestamp.new_mac_key()
+    ledger = timestamp.Ledger(key)
+    clock = MeteredClock()
+    ledger.stamp(b"a", clock)
+    path = tmp_path / "ledger.bin"
+    ledger.save(path)
+    before = path.read_bytes()
+    ledger.stamp(b"b", clock)
+
+    def half_writing_open(file, mode="r", *args, **kwargs):
+        fh = open(file, mode, *args, **kwargs)
+        return _HalfWriter(fh) if "w" in mode else fh
+
+    monkeypatch.setattr(timestamp, "open", half_writing_open, raising=False)
+    with pytest.raises(LedgerError):
+        ledger.save(path)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert timestamp.Ledger.load(path, key).records == ledger.records[:1]
+    assert [p.name for p in tmp_path.iterdir()] == ["ledger.bin"]
 
 
 def test_key_validation():
