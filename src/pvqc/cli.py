@@ -2,14 +2,14 @@
 experiments, and the benchmark suite.
 
 Exit codes: 0 accept/success, 1 reject, 2 usage or runtime error.
-A logical-clock file is kept next to the ledger so successive
-invocations share one global timeline (reveal-then-prove stamps late).
+The ledger is the one global timeline: a command's logical clock starts
+at the tau of the ledger's last record, so successive invocations share
+it (reveal-then-prove stamps late).
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -25,10 +25,6 @@ EXIT_ERROR = 2
 _STRATEGY_ALIASES = {s.split("_")[0].lower(): s for s in harness.STRATEGIES}
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("PVQC_SEED", "0"))
-
-
 def _read_circuit(path) -> qsim.Circuit:
     return qsim.circuit_from_text(Path(path).read_text())
 
@@ -42,10 +38,6 @@ def _read_input(path) -> list[int]:
 
 def _key_path(ledger_path) -> Path:
     return Path(str(ledger_path) + ".key")
-
-
-def _clock_path(ledger_path) -> Path:
-    return Path(str(ledger_path) + ".clock")
 
 
 def _load_ledger(path) -> timestamp.Ledger:
@@ -64,14 +56,10 @@ def _open_ledger(path) -> timestamp.Ledger:
     return ledger
 
 
-def _open_clock(ledger_path) -> MeteredClock:
-    path = _clock_path(ledger_path)
-    start = int(path.read_text()) if path.exists() else 0
-    return MeteredClock(start=start)
-
-
-def _save_clock(ledger_path, clock: MeteredClock) -> None:
-    _clock_path(ledger_path).write_text(str(clock.now))
+def _ledger_clock(ledger: timestamp.Ledger) -> MeteredClock:
+    """The CLI's time: the tau of the ledger's last record, or 0."""
+    records = ledger.records
+    return MeteredClock(start=records[-1][1] if records else 0)
 
 
 def _cmd_setup(args) -> int:
@@ -91,16 +79,13 @@ def _cmd_prove(args) -> int:
     x = _read_input(args.input)
     token = dvproof.parse_token(Path(args.oracle).read_bytes())
     ledger = _open_ledger(args.ledger)
-    clock = _open_clock(args.ledger)
-    cost = CostModel.from_circuit(circuit, epsilon=args.epsilon)
     try:
-        pi_tau = compiler.vc_prove(crs, circuit, x, token, ledger, clock, cost)
+        pi_tau = compiler.vc_prove(crs, circuit, x, token, ledger,
+                                   _ledger_clock(ledger), CostModel.from_circuit(circuit))
     except ProofRefused as exc:
         print(f"cannot prove false statement: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    finally:
-        ledger.save(args.ledger)
-        _save_clock(args.ledger, clock)
+    ledger.save(args.ledger)
     Path(args.proof).write_bytes(compiler.serialize_timestamped_proof(pi_tau))
     print(f"proof stamped at tau={pi_tau.tau} (deadline delta={crs.delta})")
     return EXIT_ACCEPT
@@ -108,15 +93,17 @@ def _cmd_prove(args) -> int:
 
 def _cmd_reveal(args) -> int:
     crs = compiler.parse_crs(Path(args.crs).read_bytes())
-    clock = _open_clock(args.ledger) if args.ledger else MeteredClock()
+    ledger = _open_ledger(args.ledger) if args.ledger else None
+    clock = _ledger_clock(ledger) if args.ledger else MeteredClock()
 
     def progress(step):
         print(f"solved {step}/{crs.tpk.mu} steps", file=sys.stderr)
 
-    opening = compiler.vc_reveal(crs, clock, progress=progress)
+    record = compiler.serialize_opening(compiler.vc_reveal(crs, clock, progress=progress))
     if args.ledger:
-        _save_clock(args.ledger, clock)
-    Path(args.opening).write_bytes(compiler.serialize_opening(opening))
+        ledger.stamp(record, clock)     # the public "key released at tau" event
+        ledger.save(args.ledger)
+    Path(args.opening).write_bytes(record)
     print(f"opening recovered after {crs.tpk.mu} sequential steps")
     return EXIT_ACCEPT
 
@@ -175,10 +162,10 @@ def build_parser() -> argparse.ArgumentParser:
     def add_statement(p):
         p.add_argument("--circuit", required=True, help="circuit text file")
         p.add_argument("--input", required=True, help="input bit-string file")
-        p.add_argument("--epsilon", type=float, default=compiler.DEFAULT_EPSILON)
 
     p = sub.add_parser("setup", help="generate CRS and prover oracle token")
     add_statement(p)
+    p.add_argument("--epsilon", type=float, default=compiler.DEFAULT_EPSILON)
     p.add_argument("--crs", required=True)
     p.add_argument("--oracle", required=True)
     p.add_argument("--security", type=int, default=compiler.DEFAULT_LAMBDA)
@@ -195,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reveal", help="solve the puzzle and write the opening")
     p.add_argument("--crs", required=True)
     p.add_argument("--opening", required=True)
-    p.add_argument("--ledger", help="advance this ledger's logical clock")
+    p.add_argument("--ledger", help="stamp the opening on this ledger")
     p.set_defaults(fn=_cmd_reveal)
 
     p = sub.add_parser("verify", help="publicly verify a timestamped proof")
@@ -208,9 +195,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="run the soundness experiment")
     add_statement(p)
+    p.add_argument("--epsilon", type=float, default=compiler.DEFAULT_EPSILON)
     p.add_argument("--strategy", choices=sorted(_STRATEGY_ALIASES), required=True)
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--security", type=int, default=compiler.DEFAULT_LAMBDA)
     p.add_argument("--summary", help="write machine-readable summary here")
     p.set_defaults(fn=_cmd_experiment)
@@ -218,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="benchmark suites")
     p.add_argument("suite", choices=("tlp", "circuits", "hhl"))
     p.add_argument("--repetitions", type=int, default=5)
-    p.add_argument("--seed", type=int, default=_default_seed() or 1)
+    p.add_argument("--seed", type=int, default=1)
     p.add_argument("--closed-loop", action="store_true",
                    help="also measure solve time for each calibrated mu")
     p.add_argument("--out", help="write the report here")

@@ -29,7 +29,7 @@ from .timestamp import Ledger, Stamp
 from .tlp import Puzzle, TlpPublicParams
 
 _MAGIC = b"PVQC"
-_VERSION = 0x01
+_VERSION = 0x02
 
 DEFAULT_LAMBDA = 256
 DEFAULT_EPSILON = 0.5
@@ -94,9 +94,11 @@ class TimestampedProof:
 def vc_setup(lam: int, c: qsim.Circuit, x, cost: CostModel
              ) -> tuple[Crs, OracleToken]:
     """Setup phase.  The chain walk inside the TLP setup is the dominant
-    cost; the oracle token is emitted separately, never inside the CRS."""
-    tpk, tsk = tlp.setup(lam, cost.delta())
+    cost; the oracle token is emitted separately, never inside the CRS.
+    Key generation runs first, so a bad statement is refused before the
+    chain walk."""
     pk, sk = dvproof.keygen(lam, c, x)
+    tpk, tsk = tlp.setup(lam, cost.delta())
     r = secrets.token_bytes(commit.RAND_LEN)
     d = commit.commit(sk.mac_key, r)
     puzzle = tlp.gen_puzzle(sk.mac_key + r, tpk, tsk)
@@ -174,32 +176,28 @@ def vc_verify(crs: Crs, c: qsim.Circuit, x, pi_tau: TimestampedProof,
 
 
 def serialize_crs(crs: Crs) -> bytes:
-    """v1 layout: the deadline fills three slots (mu, delta_steps, delta)."""
-    mu = crs.tpk.mu
+    """v2 layout: magic | version | seed | u64be mu | circuit digest |
+    input digest | nonce | puzzle | commitment; mu is the deadline."""
     return (_MAGIC + bytes([_VERSION])
-            + crs.tpk.seed + struct.pack(">QQ", mu, mu)
+            + crs.tpk.seed + struct.pack(">Q", crs.tpk.mu)
             + crs.pk.circuit_digest + crs.pk.input_digest + crs.pk.session_nonce
-            + tlp.serialize_puzzle(crs.puzzle)
-            + crs.commitment.digest + struct.pack(">Q", mu))
+            + tlp.serialize_puzzle(crs.puzzle) + crs.commitment.digest)
 
 
 def parse_crs(data: bytes) -> Crs:
     if len(data) < 5 or data[:4] != _MAGIC or data[4] != _VERSION:
         raise FormatError("bad CRS header")
     body = data[5:]
-    if len(body) < 48 + 80:
+    if len(body) < 40 + 80:
         raise FormatError("truncated CRS record")
-    mu, delta_steps = struct.unpack(">QQ", body[32:48])
-    pk = DvPublicKey(circuit_digest=body[48:80], input_digest=body[80:112],
-                     session_nonce=body[112:128])
-    puzzle, rest = tlp.parse_puzzle_prefix(body[128:])
-    if len(rest) != 40:
+    (mu,) = struct.unpack(">Q", body[32:40])
+    pk = DvPublicKey(circuit_digest=body[40:72], input_digest=body[72:104],
+                     session_nonce=body[104:120])
+    puzzle, rest = tlp.parse_puzzle_prefix(body[120:])
+    if len(rest) != 32:
         raise FormatError("truncated CRS tail")
-    (delta,) = struct.unpack(">Q", rest[32:])
-    if not mu == delta_steps == delta:
-        raise FormatError("CRS deadline copies differ")
     return Crs(tpk=TlpPublicParams(seed=body[:32], mu=mu), pk=pk, puzzle=puzzle,
-               commitment=Commitment(digest=rest[:32]))
+               commitment=Commitment(digest=rest))
 
 
 def serialize_timestamped_proof(pi_tau: TimestampedProof) -> bytes:

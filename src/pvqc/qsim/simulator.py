@@ -96,15 +96,6 @@ def gate_matrix(g: Gate) -> np.ndarray:
 
 def apply_gate(state: np.ndarray, g: Gate, n: int) -> np.ndarray:
     """Apply g to an n-qubit statevector (qubit 0 = most significant bit)."""
-    if g.kind in DIAGONAL_GATES:
-        k = len(g.targets)
-        factor = np.diagonal(gate_matrix(g)).reshape([2] * k)
-        order = np.argsort(g.targets)       # axis i of factor is targets[i]
-        factor = factor.transpose(order)
-        shape = [1] * n
-        for t in g.targets:
-            shape[t] = 2
-        return (state.reshape([2] * n) * factor.reshape(shape)).reshape(-1)
     mat = gate_matrix(g)
     k = len(g.targets)
     tensor = state.reshape([2] * n)

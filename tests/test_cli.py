@@ -13,7 +13,8 @@ import pytest
 
 from pvqc import cli, commit, compiler, harness, qsim
 from pvqc.commit import Opening
-from pvqc.fixtures import small_accepting_circuit, small_rejecting_circuit
+from pvqc.fixtures import (accepting_corpus, small_accepting_circuit,
+                           small_rejecting_circuit)
 
 
 @pytest.fixture
@@ -37,17 +38,27 @@ def _statement_args(paths):
     return ["--circuit", str(paths["circuit"]), "--input", str(paths["input"])]
 
 
-def _run_pipeline(paths):
-    assert cli.main(["setup", *_statement_args(paths),
-                     "--crs", str(paths["crs"]),
-                     "--oracle", str(paths["oracle"])]) == cli.EXIT_ACCEPT
-    assert cli.main(["prove", *_statement_args(paths),
+def _setup(paths):
+    return cli.main(["setup", *_statement_args(paths),
+                     "--crs", str(paths["crs"]), "--oracle", str(paths["oracle"])])
+
+
+def _prove(paths):
+    return cli.main(["prove", *_statement_args(paths),
                      "--crs", str(paths["crs"]), "--oracle", str(paths["oracle"]),
+                     "--ledger", str(paths["ledger"]), "--proof", str(paths["proof"])])
+
+
+def _reveal(paths):
+    return cli.main(["reveal", "--crs", str(paths["crs"]),
                      "--ledger", str(paths["ledger"]),
-                     "--proof", str(paths["proof"])]) == cli.EXIT_ACCEPT
-    assert cli.main(["reveal", "--crs", str(paths["crs"]),
-                     "--ledger", str(paths["ledger"]),
-                     "--opening", str(paths["opening"])]) == cli.EXIT_ACCEPT
+                     "--opening", str(paths["opening"])])
+
+
+def _run_pipeline(paths):
+    assert _setup(paths) == cli.EXIT_ACCEPT
+    assert _prove(paths) == cli.EXIT_ACCEPT
+    assert _reveal(paths) == cli.EXIT_ACCEPT
 
 
 def _verify(paths):
@@ -73,34 +84,63 @@ def test_tampered_proof_rejects(workspace, capsys):
 
 
 def test_reveal_before_prove_stamps_late(workspace, capsys):
-    assert cli.main(["setup", *_statement_args(workspace),
-                     "--crs", str(workspace["crs"]),
-                     "--oracle", str(workspace["oracle"])]) == cli.EXIT_ACCEPT
+    assert _setup(workspace) == cli.EXIT_ACCEPT
     # Solving first advances the shared logical clock past the deadline.
-    assert cli.main(["reveal", "--crs", str(workspace["crs"]),
-                     "--ledger", str(workspace["ledger"]),
-                     "--opening", str(workspace["opening"])]) == cli.EXIT_ACCEPT
-    assert cli.main(["prove", *_statement_args(workspace),
-                     "--crs", str(workspace["crs"]),
-                     "--oracle", str(workspace["oracle"]),
-                     "--ledger", str(workspace["ledger"]),
-                     "--proof", str(workspace["proof"])]) == cli.EXIT_ACCEPT
+    assert _reveal(workspace) == cli.EXIT_ACCEPT
+    assert _prove(workspace) == cli.EXIT_ACCEPT
     assert _verify(workspace) == cli.EXIT_REJECT
     assert "site=timestamp" in capsys.readouterr().out
+
+
+def _ledger_taus(paths):
+    return [tau for _, tau, _ in cli._load_ledger(paths["ledger"]).records]
+
+
+@pytest.mark.parametrize("late", [False, True], ids=["honest", "late"])
+def test_corpus_statement_tau_values(workspace, late):
+    # Corpus statement 7: T = 76 units, delta = 664.  The ledger is the
+    # only timeline: the proof and the opening are both stamped on it, and
+    # nothing else is written next to it.
+    circuit, x = accepting_corpus()[7]
+    workspace["circuit"].write_text(qsim.circuit_to_text(circuit))
+    workspace["input"].write_text("".join(str(b) for b in x))
+    workspace["ledger"] = workspace["ledger"].parent / "log" / "ledger.bin"
+    workspace["ledger"].parent.mkdir()
+    assert _setup(workspace) == cli.EXIT_ACCEPT
+    assert compiler.parse_crs(workspace["crs"].read_bytes()).delta == 664
+    steps = (_reveal, _prove) if late else (_prove, _reveal)
+    assert all(step(workspace) == cli.EXIT_ACCEPT for step in steps)
+    tau = compiler.parse_timestamped_proof(workspace["proof"].read_bytes()).tau
+    assert tau == (740 if late else 76)
+    assert _ledger_taus(workspace) == ([664, 740] if late else [76, 740])
+    assert sorted(p.name for p in workspace["ledger"].parent.iterdir()) == \
+        ["ledger.bin", "ledger.bin.key"]
+    assert _verify(workspace) == (cli.EXIT_REJECT if late else cli.EXIT_ACCEPT)
+
+
+def test_time_survives_losing_files_next_to_the_ledger(workspace):
+    # After the key is revealed, a prove must stamp at or after delta even
+    # when every file beside the ledger and its key is gone.
+    workspace["ledger"] = workspace["ledger"].parent / "log" / "ledger.bin"
+    workspace["ledger"].parent.mkdir()
+    _run_pipeline(workspace)
+    for p in workspace["ledger"].parent.iterdir():
+        if p.name not in ("ledger.bin", "ledger.bin.key"):
+            p.unlink()
+    assert _prove(workspace) == cli.EXIT_ACCEPT
+    delta = compiler.parse_crs(workspace["crs"].read_bytes()).delta
+    assert compiler.parse_timestamped_proof(workspace["proof"].read_bytes()).tau >= delta
+    assert _verify(workspace) == cli.EXIT_REJECT
 
 
 def test_prove_rejecting_circuit_errors(workspace, tmp_path):
     circuit, x = small_rejecting_circuit()
     workspace["circuit"].write_text(qsim.circuit_to_text(circuit))
     workspace["input"].write_text("".join(str(b) for b in x))
-    assert cli.main(["setup", *_statement_args(workspace),
-                     "--crs", str(workspace["crs"]),
-                     "--oracle", str(workspace["oracle"])]) == cli.EXIT_ACCEPT
-    assert cli.main(["prove", *_statement_args(workspace),
-                     "--crs", str(workspace["crs"]),
-                     "--oracle", str(workspace["oracle"]),
-                     "--ledger", str(workspace["ledger"]),
-                     "--proof", str(workspace["proof"])]) == cli.EXIT_ERROR
+    assert _setup(workspace) == cli.EXIT_ACCEPT
+    assert _prove(workspace) == cli.EXIT_ERROR
+    # A refused prove stamps nothing and does not move the ledger's time.
+    assert _ledger_taus(workspace) == []
 
 
 def test_verify_empty_committed_key_rejects(workspace, capsys):

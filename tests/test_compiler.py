@@ -183,6 +183,14 @@ def test_verify_is_frugal():
     assert tlp.chain_calls() == chain_before
 
 
+def test_setup_refuses_bad_statement_before_chain_walk():
+    c, x = small_accepting_circuit()
+    before = tlp.chain_calls()
+    with pytest.raises(ParameterError):
+        compiler.vc_setup(256, c, [2, *x[1:]], CostModel.from_circuit(c))
+    assert tlp.chain_calls() == before
+
+
 def test_parse_opening_suffix_split():
     plaintext = b"K" * 32 + bytes(range(32))
     opening = compiler.parse_opening(plaintext)

@@ -75,25 +75,24 @@ def _crs():
 def test_crs_record_layout():
     crs = _crs()
     puzzle = crs.puzzle
-    expected = (b"PVQC" + bytes([0x01])
-                + b"\x01" * 32 + struct.pack(">QQ", 5, 5)
+    expected = (b"PVQC" + bytes([0x02])
+                + b"\x01" * 32 + struct.pack(">Q", 5)
                 + b"\x02" * 32 + b"\x03" * 32 + b"\x04" * 16
-                + tlp.serialize_puzzle(puzzle)
-                + b"\x08" * 32 + struct.pack(">Q", 5))
+                + tlp.serialize_puzzle(puzzle) + b"\x08" * 32)
     blob = compiler.serialize_crs(crs)
     assert blob == expected
     assert compiler.parse_crs(blob) == crs
 
 
-def test_crs_rejects_unequal_deadline_copies():
-    # The record carries the deadline in three slots (mu, delta_steps, delta);
-    # a record whose copies differ would let solve-then-stamp beat delta.
-    blob = compiler.serialize_crs(_crs())
-    mu_at, tail_at = 5 + 32, len(blob) - 8
-    for at in (mu_at, mu_at + 8, tail_at):
-        forged = blob[:at] + struct.pack(">Q", 50) + blob[at + 8:]
-        with pytest.raises(FormatError):
-            compiler.parse_crs(forged)
+def test_crs_v1_record_rejected():
+    # v1 carried the deadline in three slots (mu, delta_steps, delta).
+    crs = _crs()
+    v1 = (b"PVQC" + bytes([0x01])
+          + b"\x01" * 32 + struct.pack(">QQ", 5, 5)
+          + b"\x02" * 32 + b"\x03" * 32 + b"\x04" * 16
+          + tlp.serialize_puzzle(crs.puzzle) + b"\x08" * 32 + struct.pack(">Q", 5))
+    with pytest.raises(FormatError):
+        compiler.parse_crs(v1)
 
 
 _TEXT_TOKENS = ("x", "abc", "nan", "inf", "-1", "99", "1,0,0", "1,x", ",", " ",
