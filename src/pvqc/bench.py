@@ -16,12 +16,14 @@ import statistics
 import time
 
 from . import qsim, tlp
+from .compiler import DEFAULT_EPSILON
 
 CALIBRATION_UNIT_MS = 0.25
-DEFAULT_MU_LIST = (2**10, 2**12, 2**14, 2**16)
-DEFAULT_QUBITS = (5, 10, 15)
-DEFAULT_DEPTHS = (10, 20, 50, 100, 200, 300)
-DEFAULT_HHL_SIZES = (2, 4, 8, 16)
+HASH_SAMPLE_STEPS = 20000
+MU_LIST = (2**10, 2**12, 2**14, 2**16)
+QUBITS = (5, 10, 15)
+DEPTHS = (10, 20, 50, 100, 200, 300)
+HHL_SIZES = (2, 4, 8, 16)
 
 _HEADER = ("# wall-clock columns (*_ms, *_s, hash_rate) are machine-dependent; "
            "mu and fidelity are deterministic given seeds")
@@ -37,7 +39,7 @@ def _median_time(fn, repetitions: int) -> float:
     return statistics.median(samples)
 
 
-def measure_hash_rate(sample_steps: int = 20000) -> float:
+def measure_hash_rate() -> float:
     """Sequential chain steps per second on this machine, timed on the
     loop that `tlp.solve` runs: the fastest of five samples, because a
     deadline must hold against the fastest solver, and one sample taken
@@ -45,9 +47,9 @@ def measure_hash_rate(sample_steps: int = 20000) -> float:
     best = float("inf")
     for _ in range(5):
         start = time.perf_counter()
-        tlp._walk_chain(bytes(32), sample_steps)
+        tlp._walk_chain(bytes(32), HASH_SAMPLE_STEPS)
         best = min(best, time.perf_counter() - start)
-    return sample_steps / best
+    return HASH_SAMPLE_STEPS / best
 
 
 def report_to_text(rows: list[dict]) -> str:
@@ -57,12 +59,12 @@ def report_to_text(rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def bench_tlp(mu_list=DEFAULT_MU_LIST, repetitions: int = 5) -> list[dict]:
+def bench_tlp(repetitions: int = 5) -> list[dict]:
     """Setup/GenPuzzle/Solve timings per mu; setup amortized over the
     puzzle generations as in the batch-use model."""
     rows = []
     message = bytes(64)
-    for mu in mu_list:
+    for mu in MU_LIST:
         start = time.perf_counter()
         tpk, tsk = tlp.setup(256, mu)
         setup_s = time.perf_counter() - start
@@ -85,57 +87,49 @@ def calibrate_cell(t_ms: float, epsilon: float, hash_rate: float) -> int:
                             hash_rate * CALIBRATION_UNIT_MS / 1e3)
 
 
-def bench_circuits(qubits=DEFAULT_QUBITS, depths=DEFAULT_DEPTHS, trials: int = 3,
-                   epsilon: float = 0.5, seed: int = 1,
-                   hash_rate: float | None = None,
-                   closed_loop: bool = False) -> list[dict]:
-    """Median simulation time per (qubits, depth) cell and the mu the
-    calibration would choose.  With closed_loop, also measure the solve
-    time for that mu."""
-    if hash_rate is None:
-        hash_rate = measure_hash_rate()
+def bench_circuits(trials: int = 3, seed: int = 1) -> list[dict]:
+    """Median simulation time per (qubits, depth) cell, the mu the
+    calibration chooses, and the solve and GenPuzzle times for that mu."""
+    hash_rate = measure_hash_rate()
     rows = []
-    for n in qubits:
-        for depth in depths:
+    for n in QUBITS:
+        for depth in DEPTHS:
             circuit = qsim.random_circuit(n, depth, seed + 1000 * n + depth)
             x = [0] * n
             t_s = _median_time(lambda: qsim.accept_prob(circuit, x), trials)
             t_ms = t_s * 1e3
-            mu = calibrate_cell(t_ms, epsilon, hash_rate)
+            mu = calibrate_cell(t_ms, DEFAULT_EPSILON, hash_rate)
             row = {
                 "row": "circuit", "qubits": n, "depth": depth,
                 "t_ms": round(t_ms, 4), "mu": mu,
                 "hash_rate": round(hash_rate, 1),
             }
-            if closed_loop:
-                tpk, tsk = tlp.setup(256, mu)
-                puzzle = tlp.gen_puzzle(bytes(64), tpk, tsk)
-                start = time.perf_counter()
-                tlp.solve(tpk, puzzle)
-                row["solve_ms"] = round((time.perf_counter() - start) * 1e3, 4)
-                start = time.perf_counter()
-                tlp.gen_puzzle(bytes(64), tpk, tsk)
-                row["genpuzzle_ms"] = round((time.perf_counter() - start) * 1e3, 4)
+            tpk, tsk = tlp.setup(256, mu)
+            puzzle = tlp.gen_puzzle(bytes(64), tpk, tsk)
+            start = time.perf_counter()
+            tlp.solve(tpk, puzzle)
+            row["solve_ms"] = round((time.perf_counter() - start) * 1e3, 4)
+            start = time.perf_counter()
+            tlp.gen_puzzle(bytes(64), tpk, tsk)
+            row["genpuzzle_ms"] = round((time.perf_counter() - start) * 1e3, 4)
             rows.append(row)
     return rows
 
 
-def bench_hhl(sizes=DEFAULT_HHL_SIZES, clock_qubits: int = 6, seed: int = 7,
-              epsilon: float = 0.5, hash_rate: float | None = None) -> list[dict]:
+def bench_hhl(seed: int = 7) -> list[dict]:
     """Depth estimate, execution time, calibrated mu, and fidelity for
     well-conditioned Hermitian instances of each size."""
     import numpy as np
 
-    if hash_rate is None:
-        hash_rate = measure_hash_rate()
+    hash_rate = measure_hash_rate()
     rng = np.random.default_rng(seed)
     rows = []
-    for n in sizes:
+    for n in HHL_SIZES:
         m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         a = (m + m.conj().T) / 2 + 2.0 * n * np.eye(n)   # well-conditioned
         b = rng.normal(size=n) + 1j * rng.normal(size=n)
         b = b / np.linalg.norm(b)
-        inst = qsim.HhlInstance(a=a, b=b, clock_qubits=clock_qubits)
+        inst = qsim.HhlInstance(a=a, b=b)
         circuit = qsim.build_hhl(inst)
         start = time.perf_counter()
         fidelity = qsim.hhl_fidelity(inst)
@@ -144,7 +138,7 @@ def bench_hhl(sizes=DEFAULT_HHL_SIZES, clock_qubits: int = 6, seed: int = 7,
             "row": "hhl", "n": n,
             "depth_estimate": qsim.circuit_depth(circuit),
             "time_s": round(elapsed, 4),
-            "mu": calibrate_cell(elapsed * 1e3, epsilon, hash_rate),
+            "mu": calibrate_cell(elapsed * 1e3, DEFAULT_EPSILON, hash_rate),
             "fidelity": round(fidelity, 6),
         })
     return rows

@@ -66,7 +66,7 @@ def _cmd_setup(args) -> int:
     circuit = _read_circuit(args.circuit)
     x = _read_input(args.input)
     cost = CostModel.from_circuit(circuit, epsilon=args.epsilon)
-    crs, token = compiler.vc_setup(args.security, circuit, x, cost)
+    crs, token = compiler.vc_setup(compiler.DEFAULT_LAMBDA, circuit, x, cost)
     Path(args.crs).write_bytes(compiler.serialize_crs(crs))
     Path(args.oracle).write_bytes(dvproof.serialize_token(token))
     print(f"crs written: delta={crs.delta} t_units={cost.t_units}")
@@ -128,8 +128,8 @@ def _cmd_experiment(args) -> int:
     x = _read_input(args.input)
     spec = harness.AdversarySpec(strategy=_STRATEGY_ALIASES[args.strategy])
     cost = CostModel.from_circuit(circuit, epsilon=args.epsilon)
-    report = harness.run_experiment(spec, circuit, x, lam=args.security,
-                                    cost=cost, trials=args.trials, seed=args.seed)
+    report = harness.run_experiment(spec, circuit, x, cost=cost,
+                                    trials=args.trials, seed=args.seed)
     text = report.to_text()
     print(text, end="")
     if args.summary:
@@ -142,8 +142,7 @@ def _cmd_bench(args) -> int:
     if args.suite == "tlp":
         rows = bench.bench_tlp(repetitions=args.repetitions)
     elif args.suite == "circuits":
-        rows = bench.bench_circuits(trials=args.repetitions, seed=args.seed,
-                                    closed_loop=args.closed_loop)
+        rows = bench.bench_circuits(trials=args.repetitions, seed=args.seed)
     else:
         rows = bench.bench_hhl(seed=args.seed)
     text = bench.report_to_text(rows)
@@ -168,7 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=compiler.DEFAULT_EPSILON)
     p.add_argument("--crs", required=True)
     p.add_argument("--oracle", required=True)
-    p.add_argument("--security", type=int, default=compiler.DEFAULT_LAMBDA)
     p.set_defaults(fn=_cmd_setup)
 
     p = sub.add_parser("prove", help="run the prover and timestamp the proof")
@@ -199,7 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", choices=sorted(_STRATEGY_ALIASES), required=True)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--security", type=int, default=compiler.DEFAULT_LAMBDA)
     p.add_argument("--summary", help="write machine-readable summary here")
     p.set_defaults(fn=_cmd_experiment)
 
@@ -207,8 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("suite", choices=("tlp", "circuits", "hhl"))
     p.add_argument("--repetitions", type=int, default=5)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--closed-loop", action="store_true",
-                   help="also measure solve time for each calibrated mu")
     p.add_argument("--out", help="write the report here")
     p.set_defaults(fn=_cmd_bench)
 

@@ -59,9 +59,9 @@ class CostModel:
             raise ParameterError("epsilon must be > 0")
 
     @classmethod
-    def from_circuit(cls, c: qsim.Circuit, epsilon: float = DEFAULT_EPSILON,
-                     proof_overhead: int = PROOF_OVERHEAD_UNITS) -> "CostModel":
-        return cls(t_units=qsim.circuit_depth(c) + proof_overhead, epsilon=epsilon)
+    def from_circuit(cls, c: qsim.Circuit, epsilon: float = DEFAULT_EPSILON
+                     ) -> "CostModel":
+        return cls(t_units=qsim.circuit_depth(c) + PROOF_OVERHEAD_UNITS, epsilon=epsilon)
 
     def delta(self) -> int:
         """Deadline strictly above t_units^(1+epsilon), one step per unit."""

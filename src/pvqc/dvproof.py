@@ -85,10 +85,7 @@ def circuit_digest(c: qsim.Circuit) -> bytes:
 
 def input_digest(x) -> bytes:
     """SHA-256 of the input bits; ParameterError unless each entry is 0 or 1."""
-    bits = list(x)
-    if bits.count(0) + bits.count(1) != len(bits):
-        raise ParameterError("input entries must be 0 or 1")
-    return hashlib.sha256(_INPUT_DOMAIN + bytes(map(int, bits))).digest()
+    return hashlib.sha256(_INPUT_DOMAIN + bytes(map(int, qsim.input_bits(x)))).digest()
 
 
 def keygen(lam: int, c: qsim.Circuit, x) -> tuple[DvPublicKey, DvSecretKey]:

@@ -15,6 +15,7 @@ import struct
 import sys
 from array import array
 from dataclasses import dataclass, field
+from itertools import permutations
 
 import numpy as np
 
@@ -106,37 +107,21 @@ def circuit_depth(c: Circuit) -> int:
     return depth
 
 
-# The text of every one- and two-qubit targets tuple, built once.
-_TARGET_TEXT = {(a,): str(a) for a in range(MAX_QUBITS)}
-_TARGET_TEXT.update({(a, b): f"{a},{b}" for a in range(MAX_QUBITS)
-                     for b in range(MAX_QUBITS) if a != b})
-
-
-def fmt_complex(z: complex) -> str:
-    """The `re,im` text of a matrix or vector entry."""
-    return f"{float(z.real)!r},{float(z.imag)!r}"
-
-
-def parse_complex(text: str) -> complex:
-    """Inverse of `fmt_complex`; TypeError or ValueError on bad text."""
-    return complex(*map(float, text.split(",")))
-
-
-def _dense_text(g: Gate) -> str:
-    """A DENSE_UNITARY gate line followed by its matrix rows."""
-    targets = _TARGET_TEXT.get(g.targets) or ",".join(str(t) for t in g.targets)
-    rows = (" ".join(fmt_complex(z) for z in row) for row in g.matrix)
-    return "\n".join([f"DENSE_UNITARY {targets}", *rows])
+def _gate_text(g: Gate) -> str:
+    """A gate line; a DENSE_UNITARY line is followed by its matrix rows of
+    `re,im` entries."""
+    line = " ".join([g.kind, ",".join(map(str, g.targets)), *map(repr, g.params)])
+    if g.kind != "DENSE_UNITARY":
+        return line
+    rows = (" ".join(f"{float(z.real)!r},{float(z.imag)!r}" for z in row)
+            for row in g.matrix)
+    return "\n".join([line, *rows])
 
 
 def circuit_to_text(c: Circuit) -> str:
     head = (f"qubits {c.n_qubits} output {c.output_qubit}"
             + (f" inputs {c.n_inputs}" if c.n_inputs != c.n_qubits else ""))
-    lines = [_dense_text(g) if g.kind == "DENSE_UNITARY"
-             else f"{g.kind} {_TARGET_TEXT[g.targets]} {g.params[0]!r}" if g.params
-             else f"{g.kind} {_TARGET_TEXT[g.targets]}"
-             for g in c.gates]
-    return "\n".join([head, *lines, ""])
+    return "\n".join([head, *map(_gate_text, c.gates), ""])
 
 
 # One byte per kind in `circuit_to_bytes`.  Written out, not derived from
@@ -160,9 +145,9 @@ class _DenseOps(dict):
 # The op bytes (kind code, then one byte per target) of every fixed-arity
 # gate, keyed by kind and then by targets, built once.  Nesting the two
 # keys saves building a (kind, targets) tuple per gate.
-_GATE_BYTES = {kind: {t: bytes([_KIND_CODE[kind], *t]) for t in _TARGET_TEXT
-                      if len(t) == GATE_ARITY[kind]}
-               for kind in GATE_ARITY}
+_GATE_BYTES = {kind: {t: bytes([_KIND_CODE[kind], *t])
+                      for t in permutations(range(MAX_QUBITS), arity)}
+               for kind, arity in GATE_ARITY.items()}
 _GATE_BYTES["DENSE_UNITARY"] = _DenseOps()
 
 # n_qubits, output_qubit and n_inputs fit a byte each (MAX_QUBITS < 256).
@@ -246,7 +231,7 @@ def circuit_from_text(text: str) -> Circuit:
                 if len(entries) != dim:
                     raise FormatError("bad DENSE_UNITARY row width")
                 try:
-                    rows.append([parse_complex(e) for e in entries])
+                    rows.append([complex(*map(float, e.split(","))) for e in entries])
                 except (TypeError, ValueError) as exc:
                     raise FormatError(f"bad DENSE_UNITARY row: {row_line!r}") from exc
             i += dim

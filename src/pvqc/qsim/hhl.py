@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import FormatError, ParameterError
-from .circuit import Circuit, Gate, fmt_complex, parse_complex
+from ..errors import ParameterError
+from .circuit import Circuit, Gate
 from .simulator import run
 
 HERMITIAN_TOL = 1e-9
@@ -193,28 +193,3 @@ def hhl_fidelity(inst: HhlInstance) -> float:
         raise ParameterError("zero post-selection probability: degenerate instance")
     overlaps = x_hat.conj() @ block     # per clock value
     return float(np.sum(np.abs(overlaps) ** 2) / p_success)
-
-
-def hhl_instance_to_text(inst: HhlInstance) -> str:
-    lines = [str(inst.n)]
-    for row in inst.a:
-        lines.append(" ".join(fmt_complex(z) for z in row))
-    lines.append(" ".join(fmt_complex(z) for z in inst.b))
-    return "\n".join(lines) + "\n"
-
-
-def hhl_instance_from_text(text: str, clock_qubits: int = DEFAULT_CLOCK_QUBITS,
-                           evolution_time: float | None = None) -> HhlInstance:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    try:
-        n = int(lines[0])
-        if len(lines) != n + 2:
-            raise FormatError("wrong number of instance rows")
-        rows = [[parse_complex(e) for e in ln.split()] for ln in lines[1:n + 1]]
-        b = [parse_complex(e) for e in lines[n + 1].split()]
-    except (IndexError, TypeError, ValueError) as exc:
-        raise FormatError("bad HHL instance file") from exc
-    if any(len(r) != n for r in rows) or len(b) != n:
-        raise FormatError("bad HHL instance dimensions")
-    return HhlInstance(a=np.array(rows), b=np.array(b),
-                       clock_qubits=clock_qubits, evolution_time=evolution_time)

@@ -223,15 +223,21 @@ def marginal_one_prob(state: np.ndarray, qubit: int, n: int) -> float:
     return float(np.moveaxis(tensor, qubit, 0)[1].sum())
 
 
+def input_bits(x) -> list:
+    """The entries of x as a list; ParameterError unless each is exactly
+    0 or 1, so that no entry is rounded to a bit."""
+    bits = list(x)
+    if bits.count(0) + bits.count(1) != len(bits):
+        raise ParameterError("input entries must be 0 or 1")
+    return bits
+
+
 def accept_prob(c: Circuit, x) -> float:
     """Exact Pr[output qubit measures 1] with classical input bits loaded
     as the basis state on the input qubits."""
-    bits = list(x)
+    bits = input_bits(x)
     if len(bits) != c.n_inputs:
         raise ParameterError(f"input width {len(bits)} != declared {c.n_inputs}")
-    for b in bits:
-        if int(b) not in (0, 1):
-            raise ParameterError("input bits must be 0 or 1")
     n = c.n_qubits
-    basis = sum(1 << (n - 1 - q) for q, b in enumerate(bits) if int(b) == 1)
+    basis = sum(1 << (n - 1 - q) for q, b in enumerate(bits) if b == 1)
     return marginal_one_prob(_simulate(c, basis), c.output_qubit, n)

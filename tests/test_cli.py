@@ -1,17 +1,17 @@
 """CLI tests: the four protocol phases across separate invocations,
-experiment and bench subcommands, exit-code discipline, and the example
-scripts."""
+experiment and bench subcommands, exit-code discipline, and the commands
+that README.md shows."""
 
 import dataclasses
 import errno
 import os
-import subprocess
-import sys
+import re
+import shlex
 from pathlib import Path
 
 import pytest
 
-from pvqc import cli, commit, compiler, harness, qsim
+from pvqc import bench, cli, commit, compiler, qsim
 from pvqc.commit import Opening
 from pvqc.fixtures import (accepting_corpus, small_accepting_circuit,
                            small_rejecting_circuit)
@@ -218,37 +218,65 @@ def test_experiment_honest_command(workspace, capsys):
     assert "wins=0" in capsys.readouterr().out
 
 
+def _report_rows(path):
+    return [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
+
+
 def test_bench_tlp_command(tmp_path, capsys):
     out_path = tmp_path / "report.txt"
     code = cli.main(["bench", "tlp", "--repetitions", "1", "--out", str(out_path)])
     assert code == cli.EXIT_ACCEPT
-    text = out_path.read_text()
-    data_lines = [ln for ln in text.splitlines() if not ln.startswith("#")]
+    data_lines = _report_rows(out_path)
     assert len(data_lines) == 4
     assert all("solve_ms=" in ln for ln in data_lines)
+
+
+def test_bench_circuits_command(tmp_path, monkeypatch):
+    monkeypatch.setattr(bench, "QUBITS", (5,))
+    monkeypatch.setattr(bench, "DEPTHS", (10,))
+    out_path = tmp_path / "report.txt"
+    code = cli.main(["bench", "circuits", "--repetitions", "1", "--out", str(out_path)])
+    assert code == cli.EXIT_ACCEPT
+    rows = _report_rows(out_path)
+    assert len(rows) == 1
+    assert rows[0].startswith("row=circuit qubits=5 depth=10 ")
+    assert "solve_ms=" in rows[0]
+
+
+def test_bench_hhl_command(tmp_path, monkeypatch):
+    monkeypatch.setattr(bench, "HHL_SIZES", (2,))
+    out_path = tmp_path / "report.txt"
+    assert cli.main(["bench", "hhl", "--out", str(out_path)]) == cli.EXIT_ACCEPT
+    rows = _report_rows(out_path)
+    assert len(rows) == 1
+    assert rows[0].startswith("row=hhl n=2 ")
+
+
+def _readme_commands():
+    """Every `pvqc ...` line of README.md's shell blocks, with backslash
+    continuations joined and `#` comments stripped, as argv lists."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", readme, flags=re.DOTALL):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["pvqc"]:
+                commands.append(words[1:])
+    return commands
+
+
+def test_readme_commands_parse():
+    commands = _readme_commands()
+    assert {argv[0] for argv in commands} == {
+        "setup", "prove", "reveal", "verify", "experiment", "bench"}
+    parser = cli.build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: pvqc {shlex.join(argv)}")
 
 
 def test_unknown_subcommand_errors():
     with pytest.raises(SystemExit):
         cli.main(["frobnicate"])
-
-
-def _run_script(name, *args):
-    root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, str(root / "scripts" / name), *args],
-                          env=env, capture_output=True, text=True, timeout=300)
-
-
-def test_scripts_run():
-    demo = _run_script("demo_pipeline.py")
-    assert demo.returncode == 0, demo.stderr
-    assert "verify:    accept" in demo.stdout
-    late = [ln for ln in demo.stdout.splitlines() if ln.startswith("late forge:")]
-    assert len(late) == 1 and late[0].endswith("reject (timestamp)")
-
-    soundness = _run_script("run_soundness_experiments.py", "--trials", "5")
-    assert soundness.returncode == 0, soundness.stderr
-    assert soundness.stdout.count("wins=0\n") == len(harness.STRATEGIES)

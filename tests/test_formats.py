@@ -121,7 +121,6 @@ def _valid_records():
         qsim.Gate("CNOT", (0, 2)),
         qsim.Gate("DENSE_UNITARY", (1,), matrix=np.array([[0, 1], [1, 0]]))),
         output_qubit=2, n_inputs=2)
-    hhl = qsim.HhlInstance(a=np.array([[2.0, 0.5], [0.5, 1.0]]), b=np.array([0.6, 0.8]))
     return {
         compiler.parse_crs: compiler.serialize_crs(_crs()),
         compiler.parse_timestamped_proof: compiler.serialize_timestamped_proof(
@@ -134,7 +133,6 @@ def _valid_records():
             tlp.Puzzle(nonce=b"\x05" * 16, ciphertext=b"cipher", tag=b"\x07" * 32)),
         dvproof.parse_proof: dvproof.serialize_proof(pi),
         qsim.circuit_from_text: qsim.circuit_to_text(circuit),
-        qsim.hhl_instance_from_text: qsim.hhl_instance_to_text(hhl),
     }
 
 

@@ -1,5 +1,5 @@
 """HHL builder tests: classical oracle, fidelity on exact instances,
-depth growth, negative-eigenvalue handling, and the instance file format."""
+depth growth, negative-eigenvalue handling, and instance validation."""
 
 import math
 
@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from pvqc import qsim
-from pvqc.errors import FormatError, ParameterError
+from pvqc.errors import ParameterError
 from pvqc.qsim.hhl import _clock_phase, classical_solve, default_evolution_time
 
 
@@ -103,27 +103,10 @@ def test_instance_validation():
                          clock_qubits=0)
 
 
-@pytest.mark.parametrize("text", [
-    "2\n1,0 0,0\n0,0 1,0\nnan,0 0,0\n",
-    "2\ninf,0 0,0\n0,0 1,0\n1,0 0,0\n",
+@pytest.mark.parametrize("a, b", [
+    (np.eye(2), np.array([math.nan, 0.0])),
+    (np.array([[math.inf, 0.0], [0.0, 1.0]]), np.array([1.0, 0.0])),
 ], ids=["nan_in_b", "inf_in_a"])
-def test_instance_rejects_non_finite(text):
+def test_instance_rejects_non_finite(a, b):
     with pytest.raises(ParameterError):
-        qsim.hhl_instance_from_text(text)
-
-
-def test_instance_text_roundtrip():
-    a, b = _well_conditioned(2, 3)
-    inst = qsim.HhlInstance(a=a, b=b)
-    back = qsim.hhl_instance_from_text(qsim.hhl_instance_to_text(inst))
-    assert np.allclose(back.a, inst.a, atol=0)
-    assert np.allclose(back.b, inst.b, atol=0)
-
-
-def test_instance_text_errors():
-    with pytest.raises(FormatError):
-        qsim.hhl_instance_from_text("")
-    with pytest.raises(FormatError):
-        qsim.hhl_instance_from_text("2\n1.0,0.0 0.0,0.0\n")
-    with pytest.raises(FormatError):
-        qsim.hhl_instance_from_text("2\n1,0\n0,0 1,0\n1,0 0,0\n")
+        qsim.HhlInstance(a=a, b=b)

@@ -526,6 +526,14 @@ def test_accept_prob_input_width_checked():
         qsim.accept_prob(c, [0, 2])
 
 
+@pytest.mark.parametrize("x", [[0.5, 0, 0], [0, 1.7, 0], [0, 0, -0.2]])
+def test_accept_prob_rejects_non_bit_entries(x):
+    # The entries are not truncated to bits: [0.5, 0, 0] is not [0, 0, 0].
+    c, _ = fixtures.small_accepting_circuit()
+    with pytest.raises(ParameterError):
+        qsim.accept_prob(c, x)
+
+
 def test_run_calls_counter():
     c = qsim.Circuit(n_qubits=1, gates=(Gate("X", (0,)),), output_qubit=0)
     before = qsim.run_calls()
