@@ -45,21 +45,19 @@ def _load_ledger(path) -> timestamp.Ledger:
     return timestamp.Ledger.load(path, _key_path(path).read_bytes())
 
 
-def _open_ledger(path) -> timestamp.Ledger:
+def _open_ledger(path) -> tuple[timestamp.Ledger, MeteredClock]:
+    """The ledger at `path`, created with its key file if missing, and the
+    CLI's time: a clock at the tau of the ledger's last record, or 0."""
     path = Path(path)
     if path.exists():
-        return _load_ledger(path)
-    key = timestamp.new_mac_key()
-    timestamp.write_atomic(_key_path(path), key)
-    ledger = timestamp.Ledger(key)
-    ledger.save(path)
-    return ledger
-
-
-def _ledger_clock(ledger: timestamp.Ledger) -> MeteredClock:
-    """The CLI's time: the tau of the ledger's last record, or 0."""
+        ledger = _load_ledger(path)
+    else:
+        key = timestamp.new_mac_key()
+        timestamp.write_atomic(_key_path(path), key)
+        ledger = timestamp.Ledger(key)
+        ledger.save(path)
     records = ledger.records
-    return MeteredClock(start=records[-1][1] if records else 0)
+    return ledger, MeteredClock(start=records[-1][1] if records else 0)
 
 
 def _cmd_setup(args) -> int:
@@ -78,10 +76,10 @@ def _cmd_prove(args) -> int:
     circuit = _read_circuit(args.circuit)
     x = _read_input(args.input)
     token = dvproof.parse_token(Path(args.oracle).read_bytes())
-    ledger = _open_ledger(args.ledger)
+    ledger, clock = _open_ledger(args.ledger)
     try:
-        pi_tau = compiler.vc_prove(crs, circuit, x, token, ledger,
-                                   _ledger_clock(ledger), CostModel.from_circuit(circuit))
+        pi_tau = compiler.vc_prove(crs, circuit, x, token, ledger, clock,
+                                   CostModel.from_circuit(circuit))
     except ProofRefused as exc:
         print(f"cannot prove false statement: {exc}", file=sys.stderr)
         return EXIT_ERROR
@@ -93,16 +91,14 @@ def _cmd_prove(args) -> int:
 
 def _cmd_reveal(args) -> int:
     crs = compiler.parse_crs(Path(args.crs).read_bytes())
-    ledger = _open_ledger(args.ledger) if args.ledger else None
-    clock = _ledger_clock(ledger) if args.ledger else MeteredClock()
+    ledger, clock = _open_ledger(args.ledger)
 
     def progress(step):
         print(f"solved {step}/{crs.tpk.mu} steps", file=sys.stderr)
 
     record = compiler.serialize_opening(compiler.vc_reveal(crs, clock, progress=progress))
-    if args.ledger:
-        ledger.stamp(record, clock)     # the public "key released at tau" event
-        ledger.save(args.ledger)
+    ledger.stamp(record, clock)     # the public "key released at tau" event
+    ledger.save(args.ledger)
     Path(args.opening).write_bytes(record)
     print(f"opening recovered after {crs.tpk.mu} sequential steps")
     return EXIT_ACCEPT
@@ -180,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reveal", help="solve the puzzle and write the opening")
     p.add_argument("--crs", required=True)
     p.add_argument("--opening", required=True)
-    p.add_argument("--ledger", help="stamp the opening on this ledger")
+    p.add_argument("--ledger", required=True, help="stamp the opening on this ledger")
     p.set_defaults(fn=_cmd_reveal)
 
     p = sub.add_parser("verify", help="publicly verify a timestamped proof")

@@ -1,8 +1,9 @@
 """The time-delayed publicly verifiable compiler.
 
-Setup locks the designated-verifier secret key (with commitment
-randomness) inside a time-lock puzzle and publishes the CRS; Prove runs
-the backend prover and timestamps the proof; Reveal solves the puzzle;
+Setup locks the opening record of the designated-verifier secret key
+and its commitment randomness inside a time-lock puzzle and publishes
+the CRS; Prove runs the backend prover and timestamps the proof; Reveal
+solves the puzzle, whose plaintext is the opening record verify reads;
 Verify gates acceptance on the timestamp deadline, the commitment, and
 the backend tag check, and never executes the delegated circuit.
 
@@ -31,7 +32,7 @@ from .tlp import Puzzle, TlpPublicParams
 _MAGIC = b"PVQC"
 _VERSION = 0x02
 
-DEFAULT_LAMBDA = 256
+DEFAULT_LAMBDA = 8 * dvproof.KEY_LEN
 DEFAULT_EPSILON = 0.5
 PROOF_OVERHEAD_UNITS = 16
 
@@ -87,8 +88,12 @@ class TimestampedProof:
     tau: int
     stamp_tag: bytes
 
+    def __post_init__(self):
+        # Stamp checks tau >= 0 and a 32-byte tag here, not at verify time.
+        object.__setattr__(self, "_stamp", Stamp(tau=self.tau, auth_tag=self.stamp_tag))
+
     def stamp(self) -> Stamp:
-        return Stamp(tau=self.tau, auth_tag=self.stamp_tag)
+        return self._stamp
 
 
 def vc_setup(lam: int, c: qsim.Circuit, x, cost: CostModel
@@ -101,7 +106,8 @@ def vc_setup(lam: int, c: qsim.Circuit, x, cost: CostModel
     tpk, tsk = tlp.setup(lam, cost.delta())
     r = secrets.token_bytes(commit.RAND_LEN)
     d = commit.commit(sk.mac_key, r)
-    puzzle = tlp.gen_puzzle(sk.mac_key + r, tpk, tsk)
+    puzzle = tlp.gen_puzzle(serialize_opening(Opening(sk_bytes=sk.mac_key, r=r)),
+                            tpk, tsk)
     crs = Crs(tpk=tpk, pk=pk, puzzle=puzzle, commitment=d)
     return crs, dvproof.make_token(sk, pk)
 
@@ -125,20 +131,11 @@ def stamp_proof(proof: DvProof, ledger: Ledger, clock: MeteredClock
     return TimestampedProof(proof=proof, tau=stamp.tau, stamp_tag=stamp.auth_tag)
 
 
-def parse_opening(plaintext: bytes) -> Opening:
-    """Split the puzzle solution into (sk, r): the randomness is the fixed
-    32-byte suffix."""
-    if len(plaintext) < commit.RAND_LEN + 1:
-        raise FormatError("puzzle plaintext too short to parse as (sk, r)")
-    return Opening(sk_bytes=plaintext[:-commit.RAND_LEN],
-                   r=plaintext[-commit.RAND_LEN:])
-
-
 def vc_reveal(crs: Crs, clock: MeteredClock, progress=None) -> Opening:
     """Reveal phase: solve the puzzle (charging exactly delta = mu steps)
-    and parse the solution."""
-    plaintext = tlp.solve(crs.tpk, crs.puzzle, meter=clock, progress=progress)
-    return parse_opening(plaintext)
+    and parse the solution, which is the opening record."""
+    return parse_opening_record(
+        tlp.solve(crs.tpk, crs.puzzle, meter=clock, progress=progress))
 
 
 def vc_verify_explain(crs: Crs, c: qsim.Circuit, x, pi_tau: TimestampedProof,

@@ -30,6 +30,8 @@ _TOKEN_MAGIC = b"PVQO"
 _PROOF_MAGIC = b"PVQP"
 _VERSION = 0x01
 
+KEY_LEN = 32    # MAC key bytes; the token record holds exactly this many
+
 
 @dataclass(frozen=True)
 class DvPublicKey:
@@ -91,15 +93,16 @@ def input_digest(x) -> bytes:
 def keygen(lam: int, c: qsim.Circuit, x) -> tuple[DvPublicKey, DvSecretKey]:
     """Fresh per-session key pair bound to the statement (C, x).
 
-    Does not evaluate C.
+    Does not evaluate C.  `lam` must be 8 * KEY_LEN, the key length the
+    token record holds.
     """
-    if lam < 8 or lam % 8:
-        raise ParameterError("lambda must be a positive multiple of 8")
+    if lam != 8 * KEY_LEN:
+        raise ParameterError(f"lambda must be {8 * KEY_LEN}")
     if len(list(x)) != c.n_inputs:
         raise ParameterError("input width mismatch")
     pk = DvPublicKey(circuit_digest=circuit_digest(c), input_digest=input_digest(x),
                      session_nonce=secrets.token_bytes(16))
-    sk = DvSecretKey(mac_key=secrets.token_bytes(lam // 8))
+    sk = DvSecretKey(mac_key=secrets.token_bytes(KEY_LEN))
     return pk, sk
 
 
@@ -140,15 +143,15 @@ def verify(pk: DvPublicKey, sk: DvSecretKey, pi: DvProof) -> bool:
 
 
 def serialize_token(token: OracleToken) -> bytes:
-    if len(token.mac_key) != 32:
-        raise ParameterError("token serialization requires a 32-byte key")
+    if len(token.mac_key) != KEY_LEN:
+        raise ParameterError(f"token serialization requires a {KEY_LEN}-byte key")
     return _TOKEN_MAGIC + bytes([_VERSION]) + token.mac_key + token.session_nonce
 
 
 def parse_token(data: bytes) -> OracleToken:
-    if len(data) != 5 + 32 + 16 or data[:4] != _TOKEN_MAGIC or data[4] != _VERSION:
+    if len(data) != 5 + KEY_LEN + 16 or data[:4] != _TOKEN_MAGIC or data[4] != _VERSION:
         raise FormatError("bad oracle token record")
-    return OracleToken(mac_key=data[5:37], session_nonce=data[37:53])
+    return OracleToken(mac_key=data[5:5 + KEY_LEN], session_nonce=data[5 + KEY_LEN:])
 
 
 def serialize_proof(pi: DvProof) -> bytes:

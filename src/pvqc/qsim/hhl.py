@@ -13,7 +13,7 @@ estimate j / 2^m in two's complement (negative eigenvalues supported).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,7 +34,7 @@ class HhlInstance:
     a: np.ndarray                 # N x N Hermitian matrix
     b: np.ndarray                 # normalized length-N vector
     clock_qubits: int = DEFAULT_CLOCK_QUBITS
-    evolution_time: float | None = None   # defaults to pi / (2 max|eig|)
+    evolution_time: float = field(init=False)   # default_evolution_time(a)
 
     def __post_init__(self):
         a = np.asarray(self.a, dtype=complex)
@@ -55,8 +55,7 @@ class HhlInstance:
             raise ParameterError("need at least one clock qubit")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-        if self.evolution_time is None:
-            object.__setattr__(self, "evolution_time", default_evolution_time(a))
+        object.__setattr__(self, "evolution_time", default_evolution_time(a))
 
     @property
     def n(self) -> int:

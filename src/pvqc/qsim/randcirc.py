@@ -25,7 +25,7 @@ def _gate(rng: random.Random, kind: str, targets: tuple[int, ...]) -> Gate:
     return Gate(kind, targets)
 
 
-def _layer(rng: random.Random, n: int, single_pool, gates: list[Gate],
+def _layer(rng: random.Random, n: int, gates: list[Gate],
            spare_qubit: int | None = None) -> None:
     order = list(range(n))
     if spare_qubit is not None:
@@ -37,7 +37,7 @@ def _layer(rng: random.Random, n: int, single_pool, gates: list[Gate],
             gates.append(_gate(rng, rng.choice(DOUBLE_GATES), (order[i], order[i + 1])))
             i += 2
         else:
-            gates.append(_gate(rng, rng.choice(single_pool), (order[i],)))
+            gates.append(_gate(rng, rng.choice(SINGLE_GATES), (order[i],)))
             i += 1
 
 
@@ -49,7 +49,7 @@ def random_circuit(n: int, depth: int, seed: int) -> Circuit:
     rng = random.Random(seed)
     gates: list[Gate] = []
     for _ in range(depth):
-        _layer(rng, n, SINGLE_GATES, gates)
+        _layer(rng, n, gates)
     return Circuit(n_qubits=n, gates=tuple(gates), output_qubit=0)
 
 
@@ -71,5 +71,5 @@ def random_accepting_circuit(n: int, depth: int, seed: int) -> Circuit:
             gates.append(Gate("X", (0,)))
         else:
             gates.append(_gate(rng, rng.choice(_DIAGONAL_SINGLES), (0,)))
-        _layer(rng, n, SINGLE_GATES, gates, spare_qubit=0)
+        _layer(rng, n, gates, spare_qubit=0)
     return Circuit(n_qubits=n, gates=tuple(gates), output_qubit=0)

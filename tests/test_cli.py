@@ -92,6 +92,16 @@ def test_reveal_before_prove_stamps_late(workspace, capsys):
     assert "site=timestamp" in capsys.readouterr().out
 
 
+def test_reveal_requires_a_ledger(workspace):
+    # Every reveal stamps the opening: there is no ledger-less reveal.
+    assert _setup(workspace) == cli.EXIT_ACCEPT
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["reveal", "--crs", str(workspace["crs"]),
+                  "--opening", str(workspace["opening"])])
+    assert exc.value.code == cli.EXIT_ERROR
+    assert not workspace["opening"].exists()
+
+
 def _ledger_taus(paths):
     return [tau for _, tau, _ in cli._load_ledger(paths["ledger"]).records]
 

@@ -188,16 +188,36 @@ def test_setup_refuses_bad_statement_before_chain_walk():
     before = tlp.chain_calls()
     with pytest.raises(ParameterError):
         compiler.vc_setup(256, c, [2, *x[1:]], CostModel.from_circuit(c))
+    # The token record holds a KEY_LEN-byte key, so no other lambda gets a CRS.
+    assert compiler.DEFAULT_LAMBDA == 8 * dvproof.KEY_LEN
+    with pytest.raises(ParameterError):
+        compiler.vc_setup(128, c, x, CostModel.from_circuit(c))
     assert tlp.chain_calls() == before
 
 
-def test_parse_opening_suffix_split():
-    plaintext = b"K" * 32 + bytes(range(32))
-    opening = compiler.parse_opening(plaintext)
-    assert opening.sk_bytes == b"K" * 32
-    assert opening.r == bytes(range(32))
+def test_puzzle_seals_the_opening_record():
+    # The puzzle's plaintext is the record that reveal writes and stamps.
+    _, _, _, crs, _, _, clock = _pipeline()
+    assert tlp.solve(crs.tpk, crs.puzzle) == \
+        compiler.serialize_opening(compiler.vc_reveal(crs, clock))
+
+
+def test_reveal_refuses_a_suffix_split_puzzle():
+    # A CRS made before the puzzle sealed the opening record holds sk || r.
+    _, _, _, crs, _, _, clock = _pipeline()
+    tpk, tsk = tlp.setup(256, crs.delta)
+    crs = dataclasses.replace(
+        crs, tpk=tpk, puzzle=tlp.gen_puzzle(b"K" * 32 + bytes(32), tpk, tsk))
     with pytest.raises(FormatError):
-        compiler.parse_opening(bytes(32))
+        compiler.vc_reveal(crs, clock)
+
+
+def test_timestamped_proof_checks_its_stamp_when_built():
+    proof = dvproof.DvProof(claimed_bit=1, tag=bytes(32))
+    with pytest.raises(ParameterError):
+        TimestampedProof(proof=proof, tau=-1, stamp_tag=bytes(32))
+    with pytest.raises(ParameterError):
+        TimestampedProof(proof=proof, tau=0, stamp_tag=bytes(31))
 
 
 def test_crs_serialization_roundtrip():

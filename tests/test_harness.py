@@ -1,6 +1,8 @@
 """Experiment harness tests: the metered clock, the win formula, and
 per-strategy outcomes with their designated rejection sites."""
 
+import itertools
+
 import pytest
 
 from pvqc import harness
@@ -30,14 +32,13 @@ def test_clock_validation():
 # ------------------------------------------------------------- win formula
 
 def test_report_win_formula_enforced():
-    harness.ExperimentReport(b1=1, b2=0, c_of_x=0, y_matches_sk=0, win=1,
-                             tau=3, steps_used=3)
-    with pytest.raises(ParameterError):
-        harness.ExperimentReport(b1=1, b2=0, c_of_x=0, y_matches_sk=0, win=0,
-                                 tau=3, steps_used=3)
-    with pytest.raises(ParameterError):
-        harness.ExperimentReport(b1=1, b2=1, c_of_x=1, y_matches_sk=1, win=1,
-                                 tau=3, steps_used=3)
+    # win = (b1 or b2) and (C(x) = 0 or sk != y), over every input.
+    for b1, b2, c_of_x, y_matches_sk in itertools.product((0, 1), repeat=4):
+        report = harness.ExperimentReport(b1=b1, b2=b2, c_of_x=c_of_x,
+                                          y_matches_sk=y_matches_sk,
+                                          tau=3, steps_used=3)
+        expected = (b1 == 1 or b2 == 1) and (c_of_x == 0 or y_matches_sk == 0)
+        assert report.win == int(expected)
 
 
 def test_spec_validation():
