@@ -16,21 +16,34 @@ CZ touches the gate's qubit, so each gate is applied on its own, not fused.
 Corpus rows: `dvproof.circuit_digest` of every statement of
 `fixtures.accepting_corpus()`, and `compiler.vc_verify_explain` of every
 statement, on sessions set up, proved and revealed before timing starts.
+
+CLI rows: `corpus_cli_verify_ms` is `cli.main(["verify", ...])` in-process
+over the same 20 statements, on session files written by `pvqc setup`,
+`prove` and `reveal` before timing starts.  `cold_cli_verify_ms` is the
+best wall time of a fresh `python -m pvqc.cli verify` on statement 17, and
+`import_pvqc_ms` the best time of `import pvqc` in a fresh interpreter,
+both with PYTHONPATH set to the measured tree.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import random
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
+from pathlib import Path
 
 QUBITS = (5, 10, 15)
 GATES = 200
+COLD_STATEMENT = 17     # 14 qubits, depth 90
+COLD_REPS = 5
 
 
 def _best_ms(fn, reps: int) -> float:
@@ -56,6 +69,59 @@ def _corpus_sessions(corpus) -> list[tuple]:
         pi_tau = compiler.vc_prove(crs, c, x, token, ledger, clock, cost)
         sessions.append((crs, c, x, pi_tau, compiler.vc_reveal(crs, clock), ledger))
     return sessions
+
+
+def _cli_verify_argvs(corpus, root: Path) -> list[list[str]]:
+    """`pvqc verify` argv of one honest CLI session per statement, run
+    through setup, prove and reveal in `root`."""
+    from pvqc import cli, qsim
+
+    argvs = []
+    for i, (c, x) in enumerate(corpus):
+        f = {name: str(root / f"{i}.{name}") for name in
+             ("circuit", "input", "crs", "oracle", "ledger", "proof", "opening")}
+        Path(f["circuit"]).write_text(qsim.circuit_to_text(c))
+        Path(f["input"]).write_text("".join(map(str, x)))
+        statement = ["--circuit", f["circuit"], "--input", f["input"], "--crs", f["crs"]]
+        commands = [
+            ["setup", *statement, "--oracle", f["oracle"]],
+            ["prove", *statement, "--oracle", f["oracle"], "--ledger", f["ledger"],
+             "--proof", f["proof"]],
+            ["reveal", "--crs", f["crs"], "--ledger", f["ledger"], "--opening", f["opening"]],
+            ["verify", *statement, "--proof", f["proof"], "--opening", f["opening"],
+             "--ledger", f["ledger"]],
+        ]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            if any(cli.main(argv) != cli.EXIT_ACCEPT for argv in commands):
+                raise RuntimeError(f"honest CLI session {i} did not accept")
+        argvs.append(commands[-1])
+    return argvs
+
+
+def _cli_rows(corpus) -> dict[str, float]:
+    import pvqc
+    from pvqc import cli
+
+    env = dict(os.environ, PYTHONPATH=str(Path(pvqc.__file__).resolve().parents[1]))
+
+    def fresh(*args):
+        return subprocess.run([sys.executable, *args], env=env, check=True,
+                              capture_output=True, text=True).stdout
+
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        argvs = _cli_verify_argvs(corpus, Path(tmp))
+
+        def verify_all():
+            with contextlib.redirect_stdout(io.StringIO()):
+                return [cli.main(argv) for argv in argvs]
+
+        out["corpus_cli_verify_ms"] = _best_ms(verify_all, 15)
+        out["cold_cli_verify_ms"] = _best_ms(
+            lambda: fresh("-m", "pvqc.cli", *argvs[COLD_STATEMENT]), COLD_REPS)
+    code = "import time; t = time.perf_counter(); import pvqc; print(time.perf_counter() - t)"
+    out["import_pvqc_ms"] = min(float(fresh("-c", code)) for _ in range(COLD_REPS)) * 1e3
+    return out
 
 
 def measure() -> dict[str, float]:
@@ -93,6 +159,7 @@ def measure() -> dict[str, float]:
         raise RuntimeError("an honest corpus session did not verify")
     out["corpus_verify_ms"] = _best_ms(
         lambda: [compiler.vc_verify_explain(*s) for s in sessions], 15)
+    out.update(_cli_rows(corpus))
     big = qsim.random_circuit(15, 300, 15301)
     out["random_circuit_15q_300_run_ms"] = _best_ms(lambda: qsim.run(big), 3)
     return out

@@ -10,6 +10,7 @@ it (reveal-then-prove stamps late).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -148,7 +149,12 @@ def _cmd_bench(args) -> int:
     return EXIT_ACCEPT
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use.  Parsing leaves
+    it unchanged, so every `main` call reuses it; callers must not modify
+    it.  Building it costs about as much as the rest of an in-process
+    verify."""
     parser = argparse.ArgumentParser(
         prog="pvqc",
         description="time-delayed publicly verifiable delegation toolkit")

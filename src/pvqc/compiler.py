@@ -31,6 +31,8 @@ from .tlp import Puzzle, TlpPublicParams
 
 _MAGIC = b"PVQC"
 _VERSION = 0x02
+# The opening record `u32be len | sk | r` that the puzzle seals.
+_OPENING_RECORD_LEN = 4 + dvproof.KEY_LEN + commit.RAND_LEN
 
 DEFAULT_LAMBDA = 8 * dvproof.KEY_LEN
 DEFAULT_EPSILON = 0.5
@@ -133,7 +135,11 @@ def stamp_proof(proof: DvProof, ledger: Ledger, clock: MeteredClock
 
 def vc_reveal(crs: Crs, clock: MeteredClock, progress=None) -> Opening:
     """Reveal phase: solve the puzzle (charging exactly delta = mu steps)
-    and parse the solution, which is the opening record."""
+    and parse the solution, which is the opening record.  The ciphertext
+    is as long as the plaintext, so a puzzle that cannot hold an opening
+    record is refused before the walk."""
+    if len(crs.puzzle.ciphertext) != _OPENING_RECORD_LEN:
+        raise FormatError("bad opening record length")
     return parse_opening_record(
         tlp.solve(crs.tpk, crs.puzzle, meter=clock, progress=progress))
 

@@ -16,10 +16,12 @@ import sys
 from array import array
 from dataclasses import dataclass, field
 from itertools import permutations
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from ..errors import FormatError, ParameterError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MAX_QUBITS = 20
 UNITARY_TOL = 1e-9
@@ -46,6 +48,7 @@ class Gate:
         if self.kind == "DENSE_UNITARY":
             if self.matrix is None:
                 raise ParameterError("DENSE_UNITARY requires a matrix")
+            import numpy as np      # only dense gates need numpy
             dim = 2 ** len(self.targets)
             mat = np.asarray(self.matrix, dtype=complex)
             if mat.shape != (dim, dim):
@@ -192,6 +195,15 @@ def circuit_to_bytes(c: Circuit) -> bytes:
     return b"".join(parts)
 
 
+def input_bits(x) -> list:
+    """The entries of x as a list; ParameterError unless each is exactly
+    0 or 1, so that no entry is rounded to a bit."""
+    bits = list(x)
+    if bits.count(0) + bits.count(1) != len(bits):
+        raise ParameterError("input entries must be 0 or 1")
+    return bits
+
+
 def circuit_from_text(text: str) -> Circuit:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
@@ -235,6 +247,7 @@ def circuit_from_text(text: str) -> Circuit:
                 except (TypeError, ValueError) as exc:
                     raise FormatError(f"bad DENSE_UNITARY row: {row_line!r}") from exc
             i += dim
+            import numpy as np
             gates.append(Gate(kind, targets, matrix=np.array(rows, dtype=complex)))
         else:
             gates.append(Gate(kind, targets, params=params))

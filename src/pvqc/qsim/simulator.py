@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from ..errors import ParameterError
-from .circuit import DIAGONAL_GATES, SINGLE_GATES, Circuit, Gate, UNITARY_TOL
+from .circuit import DIAGONAL_GATES, SINGLE_GATES, Circuit, Gate, UNITARY_TOL, input_bits
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -221,15 +221,6 @@ def run(c: Circuit) -> np.ndarray:
 def marginal_one_prob(state: np.ndarray, qubit: int, n: int) -> float:
     tensor = np.abs(state.reshape([2] * n)) ** 2
     return float(np.moveaxis(tensor, qubit, 0)[1].sum())
-
-
-def input_bits(x) -> list:
-    """The entries of x as a list; ParameterError unless each is exactly
-    0 or 1, so that no entry is rounded to a bit."""
-    bits = list(x)
-    if bits.count(0) + bits.count(1) != len(bits):
-        raise ParameterError("input entries must be 0 or 1")
-    return bits
 
 
 def accept_prob(c: Circuit, x) -> float:

@@ -7,6 +7,9 @@ import errno
 import os
 import re
 import shlex
+import subprocess
+import sys
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -17,21 +20,26 @@ from pvqc.fixtures import (accepting_corpus, small_accepting_circuit,
                            small_rejecting_circuit)
 
 
-@pytest.fixture
-def workspace(tmp_path):
+def _make_workspace(root):
     circuit, x = small_accepting_circuit()
+    root.mkdir(parents=True, exist_ok=True)
     paths = {
-        "circuit": tmp_path / "circuit.txt",
-        "input": tmp_path / "input.txt",
-        "crs": tmp_path / "crs.bin",
-        "oracle": tmp_path / "oracle.bin",
-        "ledger": tmp_path / "ledger.bin",
-        "proof": tmp_path / "proof.bin",
-        "opening": tmp_path / "opening.bin",
+        "circuit": root / "circuit.txt",
+        "input": root / "input.txt",
+        "crs": root / "crs.bin",
+        "oracle": root / "oracle.bin",
+        "ledger": root / "ledger.bin",
+        "proof": root / "proof.bin",
+        "opening": root / "opening.bin",
     }
     paths["circuit"].write_text(qsim.circuit_to_text(circuit))
     paths["input"].write_text("".join(str(b) for b in x))
     return paths
+
+
+@pytest.fixture
+def workspace(tmp_path):
+    return _make_workspace(tmp_path)
 
 
 def _statement_args(paths):
@@ -290,3 +298,68 @@ def test_readme_commands_parse():
 def test_unknown_subcommand_errors():
     with pytest.raises(SystemExit):
         cli.main(["frobnicate"])
+
+
+def _session_outputs(root, capsys):
+    """Run one script of commands through `cli.main` in `root`: an honest
+    session, a late-order session, a reveal without --ledger, then an
+    experiment with and one without --summary.  Returns each command's
+    (exit code, stdout, stderr) and the text of every summary written."""
+    honest, late = _make_workspace(root / "honest"), _make_workspace(root / "late")
+    summary = root / "summary.txt"
+    experiment = ["experiment", *_statement_args(honest), "--strategy", "a1",
+                  "--trials", "3", "--seed", "1"]
+    steps = [*(partial(step, honest) for step in (_setup, _prove, _reveal, _verify)),
+             *(partial(step, late) for step in (_setup, _reveal, _prove, _verify)),
+             partial(cli.main, ["reveal", "--crs", str(honest["crs"]),
+                                "--opening", str(root / "opening.bin")]),
+             partial(cli.main, [*experiment, "--summary", str(summary)]),
+             partial(cli.main, experiment)]
+    outputs, summaries = [], []
+    for step in steps:
+        try:
+            code = step()
+        except SystemExit as exc:
+            code = exc.code
+        outputs.append((code, *capsys.readouterr()))
+        if summary.exists():
+            summaries.append(summary.read_text())
+            summary.unlink()
+    return outputs, summaries
+
+
+def test_one_parser_serves_a_whole_session(tmp_path, capsys, monkeypatch):
+    # cli.main parses with one parser per process; no state of one call
+    # reaches the next, so every command behaves as on a fresh parser.
+    assert cli.build_parser() is cli.build_parser()
+    reused, summaries = _session_outputs(tmp_path / "reused", capsys)
+    assert [code for code, _, _ in reused] == [0, 0, 0, 0, 0, 0, 0, 1, 2, 0, 0]
+    assert summaries == [reused[-2][1]]
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert cli.build_parser() is not cli.build_parser()
+    assert _session_outputs(tmp_path / "fresh", capsys) == (reused, summaries)
+
+
+def test_verify_loads_neither_numpy_nor_the_simulator(workspace):
+    _run_pipeline(workspace)
+    argv = ["verify", *_statement_args(workspace), "--crs", str(workspace["crs"]),
+            "--proof", str(workspace["proof"]), "--opening", str(workspace["opening"]),
+            "--ledger", str(workspace["ledger"])]
+    script = f"""
+import sys
+
+def heavy():
+    return {{"numpy", "pvqc.qsim.simulator"}} & set(sys.modules)
+
+import pvqc
+assert not heavy(), heavy()
+from pvqc import cli, fixtures, qsim
+assert cli.main({argv!r}) == cli.EXIT_ACCEPT
+assert not heavy(), heavy()
+qsim.accept_prob(*fixtures.small_accepting_circuit())
+assert "accept_prob" in vars(qsim)
+"""
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr

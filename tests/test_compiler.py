@@ -208,8 +208,11 @@ def test_reveal_refuses_a_suffix_split_puzzle():
     tpk, tsk = tlp.setup(256, crs.delta)
     crs = dataclasses.replace(
         crs, tpk=tpk, puzzle=tlp.gen_puzzle(b"K" * 32 + bytes(32), tpk, tsk))
+    steps, now = tlp.chain_calls(), clock.now
     with pytest.raises(FormatError):
         compiler.vc_reveal(crs, clock)
+    # The ciphertext length is public, so the refusal costs no chain walk.
+    assert (tlp.chain_calls(), clock.now) == (steps, now)
 
 
 def test_timestamped_proof_checks_its_stamp_when_built():
