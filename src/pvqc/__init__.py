@@ -3,12 +3,4 @@ computation: time-lock puzzles, commitments, a timestamp ledger, a
 designated-verifier proof backend, and the compiler gluing them together.
 """
 
-from . import bench, commit, compiler, dvproof, fixtures, harness, qsim, timestamp, tlp
-from .compiler import CostModel, Crs, TimestampedProof, vc_prove, vc_reveal, vc_setup, vc_verify
-from .meter import MeteredClock
-
-__all__ = [
-    "CostModel", "Crs", "MeteredClock", "TimestampedProof", "bench", "commit",
-    "compiler", "dvproof", "fixtures", "harness", "qsim", "timestamp", "tlp",
-    "vc_prove", "vc_reveal", "vc_setup", "vc_verify",
-]
+from . import commit, compiler, dvproof, qsim, timestamp, tlp

@@ -14,7 +14,7 @@ import functools
 import sys
 from pathlib import Path
 
-from . import bench, compiler, dvproof, harness, qsim, timestamp
+from . import compiler, dvproof, harness, qsim, timestamp
 from .compiler import CostModel
 from .errors import ProofRefused
 from .meter import MeteredClock
@@ -86,7 +86,7 @@ def _cmd_prove(args) -> int:
         return EXIT_ERROR
     ledger.save(args.ledger)
     Path(args.proof).write_bytes(compiler.serialize_timestamped_proof(pi_tau))
-    print(f"proof stamped at tau={pi_tau.tau} (deadline delta={crs.delta})")
+    print(f"proof stamped at tau={pi_tau.stamp.tau} (deadline delta={crs.delta})")
     return EXIT_ACCEPT
 
 
@@ -136,6 +136,7 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    from . import bench     # only this command runs it
     if args.suite == "tlp":
         rows = bench.bench_tlp(repetitions=args.repetitions)
     elif args.suite == "circuits":

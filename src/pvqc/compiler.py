@@ -17,6 +17,7 @@ after delta sequential steps, so the two cannot be allowed to differ.
 
 from __future__ import annotations
 
+import math
 import secrets
 import struct
 from dataclasses import dataclass
@@ -56,10 +57,11 @@ class CostModel:
     epsilon: float = DEFAULT_EPSILON
 
     def __post_init__(self):
-        if self.t_units < 1:
-            raise ParameterError("t_units must be >= 1")
-        if self.epsilon <= 0:
-            raise ParameterError("epsilon must be > 0")
+        # Chained comparisons, so nan and inf fail both checks.
+        if not 1 <= self.t_units < math.inf:
+            raise ParameterError("t_units must be finite and >= 1")
+        if not 0 < self.epsilon < math.inf:
+            raise ParameterError("epsilon must be finite and > 0")
 
     @classmethod
     def from_circuit(cls, c: qsim.Circuit, epsilon: float = DEFAULT_EPSILON
@@ -86,16 +88,11 @@ class Crs:
 
 @dataclass(frozen=True)
 class TimestampedProof:
+    """A backend proof and its ledger stamp; `Stamp` checks tau >= 0 and a
+    32-byte tag when it is built."""
+
     proof: DvProof
-    tau: int
-    stamp_tag: bytes
-
-    def __post_init__(self):
-        # Stamp checks tau >= 0 and a 32-byte tag here, not at verify time.
-        object.__setattr__(self, "_stamp", Stamp(tau=self.tau, auth_tag=self.stamp_tag))
-
-    def stamp(self) -> Stamp:
-        return self._stamp
+    stamp: Stamp
 
 
 def vc_setup(lam: int, c: qsim.Circuit, x, cost: CostModel
@@ -129,8 +126,8 @@ def vc_prove(crs: Crs, c: qsim.Circuit, x, token: OracleToken, ledger: Ledger,
 def stamp_proof(proof: DvProof, ledger: Ledger, clock: MeteredClock
                 ) -> TimestampedProof:
     """Timestamp a backend proof at the clock's current time."""
-    stamp = ledger.stamp(dvproof.serialize_proof(proof), clock)
-    return TimestampedProof(proof=proof, tau=stamp.tau, stamp_tag=stamp.auth_tag)
+    return TimestampedProof(proof=proof,
+                            stamp=ledger.stamp(dvproof.serialize_proof(proof), clock))
 
 
 def vc_reveal(crs: Crs, clock: MeteredClock, progress=None) -> Opening:
@@ -151,7 +148,7 @@ def vc_verify_explain(crs: Crs, c: qsim.Circuit, x, pi_tau: TimestampedProof,
     Total: all failures are reject verdicts.  Late proofs (tau >= delta)
     are rejected; the deadline window is [0, delta).  Never simulates C.
     """
-    if pi_tau.tau >= crs.tpk.mu:     # crs.delta, read without the property call
+    if pi_tau.stamp.tau >= crs.tpk.mu:     # crs.delta, read without the property call
         return False, REJECT_TIMESTAMP
     try:
         if (dvproof.circuit_digest(c) != crs.pk.circuit_digest
@@ -159,7 +156,7 @@ def vc_verify_explain(crs: Crs, c: qsim.Circuit, x, pi_tau: TimestampedProof,
             return False, REJECT_STATEMENT
     except ParameterError:          # an input entry that is not a bit
         return False, REJECT_STATEMENT
-    if not ledger.verify(dvproof.serialize_proof(pi_tau.proof), pi_tau.stamp()):
+    if not ledger.verify(dvproof.serialize_proof(pi_tau.proof), pi_tau.stamp):
         return False, REJECT_STAMP
     if not commit.verify_opening(crs.commitment, y.sk_bytes, y.r):
         return False, REJECT_COMMITMENT
@@ -205,7 +202,7 @@ def parse_crs(data: bytes) -> Crs:
 
 def serialize_timestamped_proof(pi_tau: TimestampedProof) -> bytes:
     return (dvproof.serialize_proof(pi_tau.proof)
-            + struct.pack(">Q", pi_tau.tau) + pi_tau.stamp_tag)
+            + struct.pack(">Q", pi_tau.stamp.tau) + pi_tau.stamp.auth_tag)
 
 
 def parse_timestamped_proof(data: bytes) -> TimestampedProof:
@@ -213,7 +210,7 @@ def parse_timestamped_proof(data: bytes) -> TimestampedProof:
     if len(rest) != 40:
         raise FormatError("bad timestamped proof record")
     (tau,) = struct.unpack(">Q", rest[:8])
-    return TimestampedProof(proof=proof, tau=tau, stamp_tag=rest[8:])
+    return TimestampedProof(proof=proof, stamp=Stamp(tau=tau, auth_tag=rest[8:]))
 
 
 def serialize_opening(y: Opening) -> bytes:

@@ -35,8 +35,6 @@ A1_GUESS_KEY = "A1_GUESS_KEY"
 A2_SOLVE_THEN_FORGE = "A2_SOLVE_THEN_FORGE"
 A3_ALT_OPENING = "A3_ALT_OPENING"
 A4_RANDOM_TAG = "A4_RANDOM_TAG"
-STRATEGIES = (HONEST, A1_GUESS_KEY, A2_SOLVE_THEN_FORGE, A3_ALT_OPENING,
-              A4_RANDOM_TAG)
 
 
 @dataclass(frozen=True)
@@ -139,6 +137,7 @@ _STRATEGY_FNS = {
     A3_ALT_OPENING: strategy_a1_guess_key,
     A4_RANDOM_TAG: strategy_a4_random_tag,
 }
+STRATEGIES = tuple(_STRATEGY_FNS)
 
 
 def run_trial(adv: AdversarySpec, c, x, lam: int, cost: CostModel,
@@ -179,7 +178,7 @@ def run_trial(adv: AdversarySpec, c, x, lam: int, cost: CostModel,
                     and y_adv.r == true_opening.r)
     report = ExperimentReport(
         b1=b1, b2=b2, c_of_x=int(c_accepts), y_matches_sk=y_matches,
-        tau=None if pi_tau is None else pi_tau.tau, steps_used=adversary_steps)
+        tau=None if pi_tau is None else pi_tau.stamp.tau, steps_used=adversary_steps)
     return report, sites
 
 

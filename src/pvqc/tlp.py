@@ -156,8 +156,8 @@ def solve(tpk: TlpPublicParams, o: Puzzle, meter=None, progress=None) -> bytes:
 
 def calibrate_mu(t_seconds: float, epsilon: float, hash_rate: float) -> int:
     """Steps needed so expected solve wall-clock exceeds t_seconds^(1+eps)."""
-    if t_seconds <= 0 or hash_rate <= 0 or epsilon <= 0:
-        raise ParameterError("t_seconds, epsilon and hash_rate must be positive")
+    if not all(0 < v < math.inf for v in (t_seconds, epsilon, hash_rate)):
+        raise ParameterError("t_seconds, epsilon and hash_rate must be finite and > 0")
     return math.ceil(hash_rate * t_seconds ** (1.0 + epsilon)) + 1
 
 

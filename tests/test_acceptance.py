@@ -80,10 +80,9 @@ def test_criterion_3_timestamp_gating(capsys):
         opening = compiler.vc_reveal(crs, clock)
         proof = dvproof.forge_proof(
             dvproof.DvSecretKey(mac_key=opening.sk_bytes), crs.pk, 1)
-        stamp = ledger.stamp(dvproof.serialize_proof(proof), clock)
-        late = TimestampedProof(proof=proof, tau=stamp.tau,
-                                stamp_tag=stamp.auth_tag)
-        ok &= late.tau >= crs.delta
+        late = TimestampedProof(
+            proof=proof, stamp=ledger.stamp(dvproof.serialize_proof(proof), clock))
+        ok &= late.stamp.tau >= crs.delta
         for y in (opening, compiler.vc_reveal(crs, MeteredClock())):
             verdict, site = compiler.vc_verify_explain(
                 crs, circuit, x, late, y, ledger)

@@ -128,7 +128,7 @@ def test_corpus_statement_tau_values(workspace, late):
     assert compiler.parse_crs(workspace["crs"].read_bytes()).delta == 664
     steps = (_reveal, _prove) if late else (_prove, _reveal)
     assert all(step(workspace) == cli.EXIT_ACCEPT for step in steps)
-    tau = compiler.parse_timestamped_proof(workspace["proof"].read_bytes()).tau
+    tau = compiler.parse_timestamped_proof(workspace["proof"].read_bytes()).stamp.tau
     assert tau == (740 if late else 76)
     assert _ledger_taus(workspace) == ([664, 740] if late else [76, 740])
     assert sorted(p.name for p in workspace["ledger"].parent.iterdir()) == \
@@ -147,7 +147,8 @@ def test_time_survives_losing_files_next_to_the_ledger(workspace):
             p.unlink()
     assert _prove(workspace) == cli.EXIT_ACCEPT
     delta = compiler.parse_crs(workspace["crs"].read_bytes()).delta
-    assert compiler.parse_timestamped_proof(workspace["proof"].read_bytes()).tau >= delta
+    pi_tau = compiler.parse_timestamped_proof(workspace["proof"].read_bytes())
+    assert pi_tau.stamp.tau >= delta
     assert _verify(workspace) == cli.EXIT_REJECT
 
 
@@ -348,14 +349,18 @@ def test_verify_loads_neither_numpy_nor_the_simulator(workspace):
     script = f"""
 import sys
 
-def heavy():
-    return {{"numpy", "pvqc.qsim.simulator"}} & set(sys.modules)
+def assert_unloaded(*names):
+    found = set(names) & set(sys.modules)
+    assert not found, found
 
+unused_by_verify = ("numpy", "pvqc.qsim.simulator", "pvqc.bench", "pvqc.fixtures",
+                    "statistics")
 import pvqc
-assert not heavy(), heavy()
-from pvqc import cli, fixtures, qsim
+assert_unloaded(*unused_by_verify, "pvqc.harness")
+from pvqc import cli, qsim
 assert cli.main({argv!r}) == cli.EXIT_ACCEPT
-assert not heavy(), heavy()
+assert_unloaded(*unused_by_verify)
+from pvqc import fixtures
 qsim.accept_prob(*fixtures.small_accepting_circuit())
 assert "accept_prob" in vars(qsim)
 """

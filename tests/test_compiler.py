@@ -3,6 +3,7 @@ every rejection site, serialization, and verifier frugality."""
 
 import dataclasses
 import hashlib
+import math
 
 import pytest
 
@@ -12,7 +13,7 @@ from pvqc.compiler import CostModel, TimestampedProof
 from pvqc.errors import FormatError, ParameterError, ProofRefused
 from pvqc.fixtures import small_accepting_circuit, small_rejecting_circuit
 from pvqc.meter import MeteredClock
-from pvqc.timestamp import Ledger, new_mac_key
+from pvqc.timestamp import Ledger, Stamp, new_mac_key
 
 
 def _pipeline(circuit=None, x=None, lam=256):
@@ -42,13 +43,21 @@ def test_cost_model_validation():
         CostModel(t_units=0)
     with pytest.raises(ParameterError):
         CostModel(t_units=1, epsilon=0.0)
+    # nan compares false with everything, so a bare `<` check lets it through.
+    for t_units in (1, 18):
+        for epsilon in (math.nan, math.inf):
+            with pytest.raises(ParameterError):
+                CostModel(t_units=t_units, epsilon=epsilon)
+    for t_units in (math.nan, math.inf):
+        with pytest.raises(ParameterError):
+            CostModel(t_units=t_units)
 
 
 def test_honest_pipeline_accepts():
     c, x, cost, crs, token, ledger, clock = _pipeline()
     pi_tau = compiler.vc_prove(crs, c, x, token, ledger, clock, cost)
-    assert pi_tau.tau == cost.t_units
-    assert pi_tau.tau < crs.delta
+    assert pi_tau.stamp.tau == cost.t_units
+    assert pi_tau.stamp.tau < crs.delta
     opening = compiler.vc_reveal(crs, clock)
     verdict, site = compiler.vc_verify_explain(crs, c, x, pi_tau, opening, ledger)
     assert verdict and site is None
@@ -93,9 +102,9 @@ def test_reject_site_timestamp():
     opening = compiler.vc_reveal(crs, clock)     # clock is now at delta
     proof = dvproof.forge_proof(dvproof.DvSecretKey(mac_key=opening.sk_bytes),
                                 crs.pk, 1)
-    stamp = ledger.stamp(dvproof.serialize_proof(proof), clock)
-    late = TimestampedProof(proof=proof, tau=stamp.tau, stamp_tag=stamp.auth_tag)
-    assert late.tau >= crs.delta
+    late = TimestampedProof(proof=proof,
+                            stamp=ledger.stamp(dvproof.serialize_proof(proof), clock))
+    assert late.stamp.tau >= crs.delta
     verdict, site = compiler.vc_verify_explain(crs, c, x, late, opening, ledger)
     assert not verdict and site == compiler.REJECT_TIMESTAMP
 
@@ -131,7 +140,8 @@ def test_text_digest_of_statement_rejects():
 
 def test_reject_site_stamp():
     c, x, crs, pi_tau, opening, ledger = _honest_artifacts()
-    forged = TimestampedProof(proof=pi_tau.proof, tau=pi_tau.tau, stamp_tag=bytes(32))
+    forged = TimestampedProof(proof=pi_tau.proof,
+                              stamp=Stamp(tau=pi_tau.stamp.tau, auth_tag=bytes(32)))
     verdict, site = compiler.vc_verify_explain(crs, c, x, forged, opening, ledger)
     assert not verdict and site == compiler.REJECT_STAMP
 
@@ -149,8 +159,8 @@ def test_reject_site_claimed_bit():
     opening = compiler.vc_reveal(crs, opening_clock)
     proof = dvproof.forge_proof(dvproof.DvSecretKey(mac_key=opening.sk_bytes),
                                 crs.pk, claimed_bit=0)
-    stamp = ledger.stamp(dvproof.serialize_proof(proof), clock)
-    pi_tau = TimestampedProof(proof=proof, tau=stamp.tau, stamp_tag=stamp.auth_tag)
+    pi_tau = TimestampedProof(proof=proof,
+                              stamp=ledger.stamp(dvproof.serialize_proof(proof), clock))
     verdict, site = compiler.vc_verify_explain(crs, c, x, pi_tau, opening, ledger)
     assert not verdict and site == compiler.REJECT_CLAIMED_BIT
 
@@ -159,8 +169,8 @@ def test_reject_site_mac_tag():
     c, x, cost, crs, token, ledger, clock = _pipeline()
     opening = compiler.vc_reveal(crs, MeteredClock())
     proof = dvproof.DvProof(claimed_bit=1, tag=bytes(32))
-    stamp = ledger.stamp(dvproof.serialize_proof(proof), clock)
-    pi_tau = TimestampedProof(proof=proof, tau=stamp.tau, stamp_tag=stamp.auth_tag)
+    pi_tau = TimestampedProof(proof=proof,
+                              stamp=ledger.stamp(dvproof.serialize_proof(proof), clock))
     verdict, site = compiler.vc_verify_explain(crs, c, x, pi_tau, opening, ledger)
     assert not verdict and site == compiler.REJECT_MAC_TAG
 
@@ -218,9 +228,9 @@ def test_reveal_refuses_a_suffix_split_puzzle():
 def test_timestamped_proof_checks_its_stamp_when_built():
     proof = dvproof.DvProof(claimed_bit=1, tag=bytes(32))
     with pytest.raises(ParameterError):
-        TimestampedProof(proof=proof, tau=-1, stamp_tag=bytes(32))
+        TimestampedProof(proof=proof, stamp=Stamp(tau=-1, auth_tag=bytes(32)))
     with pytest.raises(ParameterError):
-        TimestampedProof(proof=proof, tau=0, stamp_tag=bytes(31))
+        TimestampedProof(proof=proof, stamp=Stamp(tau=0, auth_tag=bytes(31)))
 
 
 def test_crs_serialization_roundtrip():

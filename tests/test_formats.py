@@ -52,7 +52,8 @@ def test_proof_record_layout():
 
 def test_timestamped_proof_record_layout():
     pi = dvproof.DvProof(claimed_bit=1, tag=b"\x44" * 32)
-    pi_tau = compiler.TimestampedProof(proof=pi, tau=9, stamp_tag=b"\x55" * 32)
+    pi_tau = compiler.TimestampedProof(
+        proof=pi, stamp=timestamp.Stamp(tau=9, auth_tag=b"\x55" * 32))
     assert compiler.serialize_timestamped_proof(pi_tau) == \
         dvproof.serialize_proof(pi) + struct.pack(">Q", 9) + b"\x55" * 32
 
@@ -124,7 +125,8 @@ def _valid_records():
     return {
         compiler.parse_crs: compiler.serialize_crs(_crs()),
         compiler.parse_timestamped_proof: compiler.serialize_timestamped_proof(
-            compiler.TimestampedProof(proof=pi, tau=9, stamp_tag=b"\x55" * 32)),
+            compiler.TimestampedProof(
+                proof=pi, stamp=timestamp.Stamp(tau=9, auth_tag=b"\x55" * 32))),
         compiler.parse_opening_record: compiler.serialize_opening(
             Opening(sk_bytes=b"\x66" * 32, r=b"\x77" * 32)),
         dvproof.parse_token: dvproof.serialize_token(

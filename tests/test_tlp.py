@@ -1,6 +1,8 @@
 """Time-lock puzzle unit tests: frozen digests, step accounting, tamper
 rejection, serialization, and calibration."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -133,7 +135,10 @@ def test_calibrate_cell_floors_short_circuit_times():
 
 
 def test_calibrate_mu_validation():
-    for bad in [(0.0, 0.5, 1.0), (1.0, 0.0, 1.0), (1.0, 0.5, 0.0)]:
+    nan, inf = math.nan, math.inf
+    for bad in [(0.0, 0.5, 1.0), (1.0, 0.0, 1.0), (1.0, 0.5, 0.0),
+                (nan, 0.5, 1.0), (1.0, nan, 1.0), (1.0, 0.5, nan),
+                (inf, 0.5, 1.0), (1.0, inf, 1.0), (1.0, 0.5, inf)]:
         with pytest.raises(ParameterError):
             tlp.calibrate_mu(*bad)
 
