@@ -17,6 +17,11 @@ Corpus rows: `dvproof.circuit_digest` of every statement of
 `fixtures.accepting_corpus()`, and `compiler.vc_verify_explain` of every
 statement, on sessions set up, proved and revealed before timing starts.
 
+Parse rows: `corpus_parse_ms` is `qsim.circuit_from_text` of the 20 corpus
+texts in the measuring process, after earlier parses, and
+`corpus_parse_first_ms` the best time of the same 20 parses as the first
+in a fresh interpreter, before any gate line has been seen.
+
 CLI rows: `corpus_cli_verify_ms` is `cli.main(["verify", ...])` in-process
 over the same 20 statements, on session files written by `pvqc setup`,
 `prove` and `reveal` before timing starts.  `cold_cli_verify_ms` is the
@@ -98,15 +103,44 @@ def _cli_verify_argvs(corpus, root: Path) -> list[list[str]]:
     return argvs
 
 
-def _cli_rows(corpus) -> dict[str, float]:
+def _fresh(*args) -> str:
+    """Stdout of a fresh interpreter with the measured pvqc on its path."""
     import pvqc
-    from pvqc import cli
 
     env = dict(os.environ, PYTHONPATH=str(Path(pvqc.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, *args], env=env, check=True,
+                          capture_output=True, text=True).stdout
 
-    def fresh(*args):
-        return subprocess.run([sys.executable, *args], env=env, check=True,
-                              capture_output=True, text=True).stdout
+
+_FIRST_PARSE = """import sys, time
+from pathlib import Path
+from pvqc import qsim
+texts = [Path(p).read_text() for p in sys.argv[1:]]
+t = time.perf_counter()
+for text in texts:
+    qsim.circuit_from_text(text)
+print(time.perf_counter() - t)
+"""
+
+
+def _parse_rows(corpus) -> dict[str, float]:
+    from pvqc import qsim
+
+    texts = [qsim.circuit_to_text(c) for c, _ in corpus]
+    out = {"corpus_parse_ms": _best_ms(
+        lambda: [qsim.circuit_from_text(t) for t in texts], 15)}
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp) / f"{i}.txt" for i in range(len(texts))]
+        for path, text in zip(paths, texts):
+            path.write_text(text)
+        first = [float(_fresh("-c", _FIRST_PARSE, *map(str, paths)))
+                 for _ in range(COLD_REPS)]
+    out["corpus_parse_first_ms"] = min(first) * 1e3
+    return out
+
+
+def _cli_rows(corpus) -> dict[str, float]:
+    from pvqc import cli
 
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -118,9 +152,9 @@ def _cli_rows(corpus) -> dict[str, float]:
 
         out["corpus_cli_verify_ms"] = _best_ms(verify_all, 15)
         out["cold_cli_verify_ms"] = _best_ms(
-            lambda: fresh("-m", "pvqc.cli", *argvs[COLD_STATEMENT]), COLD_REPS)
+            lambda: _fresh("-m", "pvqc.cli", *argvs[COLD_STATEMENT]), COLD_REPS)
     code = "import time; t = time.perf_counter(); import pvqc; print(time.perf_counter() - t)"
-    out["import_pvqc_ms"] = min(float(fresh("-c", code)) for _ in range(COLD_REPS)) * 1e3
+    out["import_pvqc_ms"] = min(float(_fresh("-c", code)) for _ in range(COLD_REPS)) * 1e3
     return out
 
 
@@ -159,6 +193,7 @@ def measure() -> dict[str, float]:
         raise RuntimeError("an honest corpus session did not verify")
     out["corpus_verify_ms"] = _best_ms(
         lambda: [compiler.vc_verify_explain(*s) for s in sessions], 15)
+    out.update(_parse_rows(corpus))
     out.update(_cli_rows(corpus))
     big = qsim.random_circuit(15, 300, 15301)
     out["random_circuit_15q_300_run_ms"] = _best_ms(lambda: qsim.run(big), 3)

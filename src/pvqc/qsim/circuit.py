@@ -6,7 +6,8 @@ format is line-oriented: header `qubits N output K` (plus `inputs M` when
 the input width differs from N), then one gate per line
 `KIND target[,target] [angle]`; DENSE_UNITARY blocks follow inline as
 rows of `re,im` pairs.  The text is the file format; a statement's digest
-hashes `circuit_to_bytes` instead.
+hashes `circuit_to_bytes` instead.  Parsing shares one `Gate` per
+canonical parameterless line (`H 3`, `CNOT 0,4`) across all parses.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import struct
 import sys
 from array import array
 from dataclasses import dataclass, field
-from itertools import permutations
+from itertools import islice, permutations
 from typing import TYPE_CHECKING
 
 from ..errors import FormatError, ParameterError
@@ -33,6 +34,10 @@ DIAGONAL_GATES = frozenset({"Z", "S", "T", "RZ", "PHASE", "CZ", "CPHASE"})
 GATE_ARITY = {**{k: 1 for k in SINGLE_GATES}, **{k: 2 for k in DOUBLE_GATES}}
 
 
+# Target and parameter count of each fixed-arity kind.
+_GATE_SHAPE = {k: (a, int(k in PARAM_GATES)) for k, a in GATE_ARITY.items()}
+
+
 @dataclass(frozen=True)
 class Gate:
     kind: str
@@ -41,29 +46,35 @@ class Gate:
     matrix: np.ndarray | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "targets", tuple(self.targets))
-        object.__setattr__(self, "params", tuple(self.params))
-        if len(set(self.targets)) != len(self.targets):
+        targets, params = self.targets, self.params
+        if type(targets) is not tuple:
+            targets = tuple(targets)
+            object.__setattr__(self, "targets", targets)
+        if type(params) is not tuple:
+            params = tuple(params)
+            object.__setattr__(self, "params", params)
+        if len(set(targets)) != len(targets):
             raise ParameterError("duplicate gate targets")
+        shape = _GATE_SHAPE.get(self.kind)
+        if shape == (len(targets), len(params)):
+            return
         if self.kind == "DENSE_UNITARY":
             if self.matrix is None:
                 raise ParameterError("DENSE_UNITARY requires a matrix")
             import numpy as np      # only dense gates need numpy
-            dim = 2 ** len(self.targets)
+            dim = 2 ** len(targets)
             mat = np.asarray(self.matrix, dtype=complex)
             if mat.shape != (dim, dim):
                 raise ParameterError("matrix shape does not match target count")
-            if self.params:
+            if params:
                 raise ParameterError("wrong parameter count for DENSE_UNITARY")
             object.__setattr__(self, "matrix", mat)
-        elif self.kind in GATE_ARITY:
-            if len(self.targets) != GATE_ARITY[self.kind]:
-                raise ParameterError(f"{self.kind} takes {GATE_ARITY[self.kind]} targets")
-            needs = self.kind in PARAM_GATES
-            if needs != (len(self.params) == 1):
-                raise ParameterError(f"wrong parameter count for {self.kind}")
-        else:
+        elif shape is None:
             raise ParameterError(f"unknown gate kind {self.kind!r}")
+        elif len(targets) != shape[0]:
+            raise ParameterError(f"{self.kind} takes {shape[0]} targets")
+        else:
+            raise ParameterError(f"wrong parameter count for {self.kind}")
 
 
 @dataclass(frozen=True)
@@ -83,9 +94,9 @@ class Circuit:
             object.__setattr__(self, "n_inputs", self.n_qubits)
         elif not 0 <= self.n_inputs <= self.n_qubits:
             raise ParameterError("n_inputs out of range")
-        for g in self.gates:
-            if any(t < 0 or t >= self.n_qubits for t in g.targets):
-                raise ParameterError("gate target out of range")
+        targets = [t for g in self.gates for t in g.targets]
+        if targets and (min(targets) < 0 or max(targets) >= self.n_qubits):
+            raise ParameterError("gate target out of range")
 
 
 def gate_weight(g: Gate) -> int:
@@ -204,8 +215,68 @@ def input_bits(x) -> list:
     return bits
 
 
+def _split_gate_line(line: str) -> tuple[str, tuple[int, ...], tuple[float, ...]]:
+    """Kind, targets and parameters of a gate line; FormatError if they do
+    not parse."""
+    parts = line.split()
+    try:
+        targets = tuple(map(int, parts[1].split(",")))
+        return parts[0], targets, tuple(map(float, parts[2:]))
+    except (IndexError, ValueError) as exc:
+        raise FormatError(f"bad gate line: {line!r}") from exc
+
+
+class _PlainGates(dict):
+    """The gate of each canonical parameterless line (`H 3`, `CNOT 0,4`),
+    interned on first use, so that a line seen before costs one lookup.
+
+    A missing line is parsed: a DENSE_UNITARY line gives None (its matrix
+    rows follow, which the caller reads), a bad one raises, any other
+    gives its gate.  The gate is stored only when it has no parameters,
+    every target is below MAX_QUBITS and the line is its `_gate_text`;
+    so whatever text is parsed, the table holds at most one entry per
+    parameterless gate on MAX_QUBITS qubits, 6·20 + 3·20·19 = 1260.  It
+    starts empty: building all of them costs milliseconds that every
+    `import pvqc` would pay.
+    """
+
+    def __missing__(self, line):
+        kind, targets, params = _split_gate_line(line)
+        if kind == "DENSE_UNITARY":
+            return None
+        gate = Gate(kind, targets, params)
+        if (not params and 0 <= min(targets) and max(targets) < MAX_QUBITS
+                and _gate_text(gate) == line):
+            self[line] = gate
+        return gate
+
+
+_PLAIN_GATES = _PlainGates()
+
+
+def _dense_gate(line: str, rest) -> Gate:
+    """The DENSE_UNITARY gate of `line`, its matrix rows taken from the
+    iterator `rest`.  Parameters on the line parse but are dropped."""
+    _, targets, _ = _split_gate_line(line)
+    dim = 2 ** len(targets)
+    block = list(islice(rest, dim))
+    if len(block) < dim:
+        raise FormatError("truncated DENSE_UNITARY block")
+    rows = []
+    for row_line in block:
+        entries = row_line.split()
+        if len(entries) != dim:
+            raise FormatError("bad DENSE_UNITARY row width")
+        try:
+            rows.append([complex(*map(float, e.split(","))) for e in entries])
+        except (TypeError, ValueError) as exc:
+            raise FormatError(f"bad DENSE_UNITARY row: {row_line!r}") from exc
+    import numpy as np
+    return Gate("DENSE_UNITARY", targets, matrix=np.array(rows, dtype=complex))
+
+
 def circuit_from_text(text: str) -> Circuit:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    lines = [ln for ln in map(str.strip, text.splitlines()) if ln]
     if not lines:
         raise FormatError("empty circuit file")
     head = lines[0].split()
@@ -223,33 +294,9 @@ def circuit_from_text(text: str) -> Circuit:
         raise FormatError("bad circuit header") from exc
 
     gates: list[Gate] = []
-    i = 1
-    while i < len(lines):
-        parts = lines[i].split()
-        kind = parts[0]
-        try:
-            targets = tuple(int(t) for t in parts[1].split(","))
-            params = tuple(map(float, parts[2:]))
-        except (IndexError, ValueError) as exc:
-            raise FormatError(f"bad gate line: {lines[i]!r}") from exc
-        i += 1
-        if kind == "DENSE_UNITARY":
-            dim = 2 ** len(targets)
-            if i + dim > len(lines):
-                raise FormatError("truncated DENSE_UNITARY block")
-            rows = []
-            for row_line in lines[i:i + dim]:
-                entries = row_line.split()
-                if len(entries) != dim:
-                    raise FormatError("bad DENSE_UNITARY row width")
-                try:
-                    rows.append([complex(*map(float, e.split(","))) for e in entries])
-                except (TypeError, ValueError) as exc:
-                    raise FormatError(f"bad DENSE_UNITARY row: {row_line!r}") from exc
-            i += dim
-            import numpy as np
-            gates.append(Gate(kind, targets, matrix=np.array(rows, dtype=complex)))
-        else:
-            gates.append(Gate(kind, targets, params=params))
+    rest = islice(lines, 1, None)
+    for line in rest:
+        gate = _PLAIN_GATES[line]
+        gates.append(_dense_gate(line, rest) if gate is None else gate)
     return Circuit(n_qubits=n, gates=tuple(gates), output_qubit=output,
                    n_inputs=n_inputs)

@@ -37,6 +37,7 @@ _VERSION = 0x01
 _RECORD_PUZZLE = 0x02
 
 MAX_MESSAGE_LEN = 2**32 - 1
+MAX_MU = 2**64 - 1      # the CRS record stores mu as a u64
 PROGRESS_INTERVAL = 2**16
 
 # Instrumentation: total chain-step invocations in this process.
@@ -57,6 +58,8 @@ class TlpPublicParams:
             raise ParameterError("seed must be 32 bytes")
         if self.mu < 1:
             raise ParameterError("mu must be >= 1")
+        if self.mu > MAX_MU:
+            raise ParameterError("mu must be < 2**64: a CRS record stores it as a u64")
 
 
 @dataclass(frozen=True)
@@ -158,7 +161,10 @@ def calibrate_mu(t_seconds: float, epsilon: float, hash_rate: float) -> int:
     """Steps needed so expected solve wall-clock exceeds t_seconds^(1+eps)."""
     if not all(0 < v < math.inf for v in (t_seconds, epsilon, hash_rate)):
         raise ParameterError("t_seconds, epsilon and hash_rate must be finite and > 0")
-    return math.ceil(hash_rate * t_seconds ** (1.0 + epsilon)) + 1
+    try:
+        return math.ceil(hash_rate * t_seconds ** (1.0 + epsilon)) + 1
+    except OverflowError as exc:
+        raise ParameterError("deadline too large: t_seconds^(1+epsilon) overflows") from exc
 
 
 def serialize_puzzle(o: Puzzle) -> bytes:

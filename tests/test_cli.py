@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from pvqc import bench, cli, commit, compiler, qsim
+from pvqc import bench, cli, commit, compiler, harness, qsim, tlp
 from pvqc.commit import Opening
 from pvqc.fixtures import (accepting_corpus, small_accepting_circuit,
                            small_rejecting_circuit)
@@ -219,6 +219,30 @@ def test_bad_input_file_is_error(workspace):
                      "--oracle", str(workspace["oracle"])]) == cli.EXIT_ERROR
 
 
+@pytest.mark.parametrize("epsilon,message", [
+    ("20", "error: mu must be < 2**64: a CRS record stores it as a u64"),
+    ("300", "error: deadline too large: t_seconds^(1+epsilon) overflows"),
+])
+def test_setup_refuses_a_deadline_the_crs_cannot_hold(workspace, capsys, monkeypatch,
+                                                      epsilon, message):
+    # The fixture costs 18 units: 18^21 steps pass the u64 mu of the CRS
+    # record, and 18^301 overflows a float.  Neither may start the walk.
+    def walk(*args, **kwargs):
+        raise AssertionError("the chain walk started")
+
+    monkeypatch.setattr(tlp, "_walk_chain", walk)
+    assert cli.main(["setup", *_statement_args(workspace), "--epsilon", epsilon,
+                     "--crs", str(workspace["crs"]),
+                     "--oracle", str(workspace["oracle"])]) == cli.EXIT_ERROR
+    assert capsys.readouterr().err.strip() == message
+    assert not workspace["crs"].exists()
+
+
+def test_strategy_aliases_name_every_harness_strategy():
+    assert cli._STRATEGY_ALIASES == {s.split("_")[0].lower(): s
+                                     for s in harness.STRATEGIES}
+
+
 def test_experiment_command(workspace, tmp_path, capsys):
     summary = tmp_path / "summary.txt"
     code = cli.main(["experiment", *_statement_args(workspace),
@@ -354,9 +378,9 @@ def assert_unloaded(*names):
     assert not found, found
 
 unused_by_verify = ("numpy", "pvqc.qsim.simulator", "pvqc.bench", "pvqc.fixtures",
-                    "statistics")
+                    "pvqc.harness", "statistics")
 import pvqc
-assert_unloaded(*unused_by_verify, "pvqc.harness")
+assert_unloaded(*unused_by_verify)
 from pvqc import cli, qsim
 assert cli.main({argv!r}) == cli.EXIT_ACCEPT
 assert_unloaded(*unused_by_verify)

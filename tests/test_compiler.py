@@ -53,6 +53,23 @@ def test_cost_model_validation():
             CostModel(t_units=t_units)
 
 
+def test_deadline_beyond_the_crs_record_is_refused_before_the_walk(monkeypatch):
+    # A u64 holds mu: at t_units 18, epsilon 10 fits (6.4e13 steps), 20
+    # does not (2.3e26), and from about 300 the formula overflows a float.
+    c, x = small_accepting_circuit()
+    assert CostModel(t_units=18, epsilon=10.0).delta() == 64_268_410_079_233
+    assert CostModel(t_units=18, epsilon=20.0).delta() > tlp.MAX_MU
+    with pytest.raises(ParameterError, match="deadline too large"):
+        CostModel(t_units=18, epsilon=300.0).delta()
+
+    def walk(*args, **kwargs):
+        raise AssertionError("the chain walk started")
+
+    monkeypatch.setattr(tlp, "_walk_chain", walk)
+    with pytest.raises(ParameterError, match=r"2\*\*64"):
+        compiler.vc_setup(256, c, x, CostModel(t_units=18, epsilon=20.0))
+
+
 def test_honest_pipeline_accepts():
     c, x, cost, crs, token, ledger, clock = _pipeline()
     pi_tau = compiler.vc_prove(crs, c, x, token, ledger, clock, cost)

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 from pvqc import fixtures, qsim
 from pvqc.errors import FormatError, ParameterError
-from pvqc.qsim.circuit import (DOUBLE_GATES, GATE_ARITY, PARAM_GATES, SINGLE_GATES,
-                               Gate, gate_weight)
+from pvqc.qsim.circuit import (_PLAIN_GATES, DOUBLE_GATES, GATE_ARITY, MAX_QUBITS,
+                               PARAM_GATES, SINGLE_GATES, Gate, _gate_text, gate_weight)
 from pvqc.qsim.simulator import apply_gate, gate_matrix, marginal_one_prob
 
 
@@ -337,6 +337,120 @@ def test_text_parse_errors():
         qsim.circuit_from_text("qubits 2 output 0\nH zero\n")
     with pytest.raises(FormatError):
         qsim.circuit_from_text("qubits 2 output 0\nDENSE_UNITARY 0\n1.0,0.0 0.0,0.0\n")
+
+
+def _gate_by_gate(text):
+    """Reference parse of a text without DENSE_UNITARY lines: a new Gate
+    per line, then every target checked against the qubit count."""
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    head = lines[0].split()
+    n, output = int(head[1]), int(head[3])
+    gates = []
+    for line in lines[1:]:
+        parts = line.split()
+        try:
+            targets = tuple(int(t) for t in parts[1].split(","))
+            params = tuple(map(float, parts[2:]))
+        except (IndexError, ValueError) as exc:
+            raise FormatError(line) from exc
+        gates.append(Gate(parts[0], targets, params=params))
+    if any(t < 0 or t >= n for g in gates for t in g.targets):
+        raise ParameterError("gate target out of range")
+    return qsim.Circuit(n_qubits=n, gates=tuple(gates), output_qubit=output)
+
+
+def _outcome(parse, text):
+    """The circuit `parse` returns, or the type of the error it raises."""
+    try:
+        return parse(text)
+    except (FormatError, ParameterError) as exc:
+        return type(exc)
+
+
+def _assert_plain_gate_table_sound():
+    # Each key is the canonical line of its parameterless in-range gate,
+    # so there are at most 6*20 + 3*20*19 entries.
+    assert len(_PLAIN_GATES) <= 1260
+    for line, g in _PLAIN_GATES.items():
+        assert _gate_text(g) == line and not g.params
+        assert all(0 <= t < MAX_QUBITS for t in g.targets)
+
+
+_SPELLINGS = ("0{}", "+{}", "00{}", " {}", "{}.0", "{}_0")
+
+
+@st.composite
+def _spelled_statement(draw):
+    """A statement text whose gate lines mix canonical lines with other
+    spellings of the targets, extra inner spaces, duplicate and
+    out-of-range targets, wrong arities and parameter counts and unknown
+    kinds."""
+    n = draw(st.integers(1, MAX_QUBITS))
+    lines = [f"qubits {n} output 0"]
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(SINGLE_GATES + DOUBLE_GATES + ("NOPE", "h")))
+        arity = draw(st.sampled_from((GATE_ARITY.get(kind, 1),) * 4 + (1, 2, 3)))
+        target = st.one_of(st.integers(0, n - 1), st.integers(-1, MAX_QUBITS + 2))
+        spelling = st.one_of(st.just("{}"), st.sampled_from(_SPELLINGS))
+        spelled = ",".join(draw(spelling).format(draw(target)) for _ in range(arity))
+        line = kind + draw(st.sampled_from((" ", " ", "  ", "\t"))) + spelled
+        if draw(st.integers(0, 3)) == 0 or (kind in PARAM_GATES
+                                           and draw(st.integers(0, 7))):
+            line += " " + repr(draw(st.floats(-4.0, 4.0)))
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_spelled_statement())
+def test_parse_matches_gate_by_gate_parse(text):
+    expected = _outcome(_gate_by_gate, text)
+    assert _outcome(qsim.circuit_from_text, text) == expected
+    assert _outcome(qsim.circuit_from_text, text) == expected    # lines now seen
+    _assert_plain_gate_table_sound()
+
+
+@pytest.mark.parametrize("line,expected", [
+    ("H 01", Gate("H", (1,))),
+    ("H +1", Gate("H", (1,))),
+    ("H  1", Gate("H", (1,))),
+    ("CNOT   1,0", Gate("CNOT", (1, 0))),
+    ("CNOT 1, 0", FormatError),
+    ("H", FormatError),
+    ("CNOT 1,1", ParameterError),
+    ("H 2", ParameterError),                 # target >= n
+    ("SWAP 0,20", ParameterError),           # target >= MAX_QUBITS
+    ("H -1", ParameterError),
+    ("NOPE 0", ParameterError),
+    ("H 0 0.5", ParameterError),
+    ("RX 0", ParameterError),
+])
+def test_noncanonical_and_invalid_gate_lines(line, expected):
+    text = f"qubits 2 output 0\n{line}\n"
+    for _ in range(2):      # the second parse meets a line seen before
+        if isinstance(expected, Gate):
+            assert qsim.circuit_from_text(text).gates == (expected,)
+        else:
+            with pytest.raises(expected):
+                qsim.circuit_from_text(text)
+    _assert_plain_gate_table_sound()
+
+
+def test_plain_gate_table_holds_each_gate_once():
+    every = tuple(Gate(kind, t) for kind, arity in GATE_ARITY.items()
+                  if kind not in PARAM_GATES
+                  for t in itertools.permutations(range(MAX_QUBITS), arity))
+    c = qsim.Circuit(n_qubits=MAX_QUBITS, gates=every, output_qubit=0)
+    text = qsim.circuit_to_text(c)
+    assert qsim.circuit_from_text(text) == c
+    assert len(_PLAIN_GATES) == len(every) == 1260
+    other = qsim.circuit_from_text(text + "H 01\nH +1\nCNOT  0,1\n")
+    assert other.gates == every + (Gate("H", (1,)), Gate("H", (1,)), Gate("CNOT", (0, 1)))
+    for bad in ("H 20\n", "CNOT 3,3\n", "NOPE 2\n", "X 1 0.5\n"):
+        with pytest.raises(ParameterError):
+            qsim.circuit_from_text(text + bad)
+    _assert_plain_gate_table_sound()
+    assert len(_PLAIN_GATES) == 1260
 
 
 # --------------------------------------------------------- binary encoding

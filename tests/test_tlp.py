@@ -141,6 +141,10 @@ def test_calibrate_mu_validation():
                 (inf, 0.5, 1.0), (1.0, inf, 1.0), (1.0, 0.5, inf)]:
         with pytest.raises(ParameterError):
             tlp.calibrate_mu(*bad)
+    # Finite inputs whose deadline overflows a float.
+    for big in [(1e300, 1.0, 1.0), (18.0, 300.0, 1.0), (1e300, 0.5, 1e300)]:
+        with pytest.raises(ParameterError, match="deadline too large"):
+            tlp.calibrate_mu(*big)
 
 
 def test_parameter_validation():
@@ -148,6 +152,10 @@ def test_parameter_validation():
         tlp.TlpPublicParams(seed=bytes(16), mu=1)
     with pytest.raises(ParameterError):
         tlp.TlpPublicParams(seed=bytes(32), mu=0)
+    # The CRS record stores mu as a u64.
+    assert tlp.TlpPublicParams(seed=bytes(32), mu=tlp.MAX_MU).mu == 2**64 - 1
+    with pytest.raises(ParameterError, match=r"2\*\*64"):
+        tlp.TlpPublicParams(seed=bytes(32), mu=2**64)
     with pytest.raises(ParameterError):
         tlp.setup(0, 1)
     with pytest.raises(ParameterError):
