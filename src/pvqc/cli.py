@@ -41,26 +41,12 @@ def _read_input(path) -> list[int]:
     return [int(ch) for ch in text]
 
 
-def _key_path(ledger_path) -> Path:
-    return Path(str(ledger_path) + ".key")
-
-
-def _load_ledger(path) -> timestamp.Ledger:
-    """An existing ledger and its key file; creates neither."""
-    return timestamp.Ledger.load(path, _key_path(path).read_bytes())
-
-
 def _open_ledger(path) -> tuple[timestamp.Ledger, MeteredClock]:
-    """The ledger at `path`, created with its key file if missing, and the
-    CLI's time: a clock at the tau of the ledger's last record, or 0."""
-    path = Path(path)
-    if path.exists():
-        ledger = _load_ledger(path)
-    else:
-        key = timestamp.new_mac_key()
-        timestamp.write_atomic(_key_path(path), key)
-        ledger = timestamp.Ledger(key)
-        ledger.save(path)
+    """The ledger at `path`, or an empty one if there is none, and the
+    CLI's time: a clock at the tau of the ledger's last record, or 0.
+    Writes nothing; the command saves the ledger after its stamp."""
+    ledger = (timestamp.Ledger.load(path) if Path(path).exists()
+              else timestamp.Ledger(timestamp.new_mac_key()))
     records = ledger.records
     return ledger, MeteredClock(start=records[-1][1] if records else 0)
 
@@ -115,7 +101,7 @@ def _cmd_verify(args) -> int:
     x = _read_input(args.input)
     pi_tau = compiler.parse_timestamped_proof(Path(args.proof).read_bytes())
     opening = compiler.parse_opening_record(Path(args.opening).read_bytes())
-    ledger = _load_ledger(args.ledger)
+    ledger = timestamp.Ledger.load(args.ledger)
     verdict, site = compiler.vc_verify_explain(crs, circuit, x, pi_tau, opening, ledger)
     if verdict:
         print("accept")

@@ -256,8 +256,12 @@ _PLAIN_GATES = _PlainGates()
 
 def _dense_gate(line: str, rest) -> Gate:
     """The DENSE_UNITARY gate of `line`, its matrix rows taken from the
-    iterator `rest`.  Parameters on the line parse but are dropped."""
-    _, targets, _ = _split_gate_line(line)
+    iterator `rest`."""
+    _, targets, params = _split_gate_line(line)
+    if params:
+        raise FormatError(f"DENSE_UNITARY takes no parameters: {line!r}")
+    if len(targets) > MAX_QUBITS:
+        raise ParameterError(f"DENSE_UNITARY takes at most {MAX_QUBITS} targets")
     dim = 2 ** len(targets)
     block = list(islice(rest, dim))
     if len(block) < dim:

@@ -1,10 +1,10 @@
-"""Trusted timestamping service as a signed, append-only, file-backed ledger.
+"""Trusted timestamping service as an append-only, file-backed ledger.
 
 Timestamps are logical: tau is the global sequential-step count at
-submission, so deadline comparisons are deterministic.  Tags are symmetric
-HMACs under the service's key; the service is a trusted role (think of a
-public blockchain) and verification replays the tag check.
-The ledger never escrows secrets.
+submission, so deadline comparisons are deterministic.  A stamp counts
+only if the ledger holds its record (think of a public blockchain), so
+verification needs no secret.  A record's tag is an HMAC under the key
+of the ledger that appended it.  The ledger never escrows secrets.
 """
 
 from __future__ import annotations
@@ -67,7 +67,8 @@ def write_atomic(path, data: bytes) -> None:
 
 
 class Ledger:
-    """Append-only record list (blob digest, tau, tag) under one MAC key.
+    """Append-only record list (blob digest, tau, tag); a stamp verifies
+    iff its record is listed, and the MAC key only tags new records.
 
     Single writer; saves are atomic, so concurrent readers of a saved file
     are safe.
@@ -100,9 +101,9 @@ class Ledger:
         return Stamp(tau=tau, auth_tag=tag)
 
     def verify(self, blob: bytes, stamp: Stamp) -> bool:
-        digest = hashlib.sha256(blob).digest()
-        return hmac.compare_digest(_tag(self._mac_key, digest, stamp.tau),
-                                   stamp.auth_tag)
+        # A plain scan: a session's ledger holds a few records.
+        record = (hashlib.sha256(blob).digest(), stamp.tau, stamp.auth_tag)
+        return record in self._records
 
     def save(self, path) -> None:
         data = _MAGIC + bytes([_VERSION]) + b"".join(
@@ -113,7 +114,8 @@ class Ledger:
             raise LedgerError(f"cannot write ledger: {exc}") from exc
 
     @classmethod
-    def load(cls, path, mac_key: bytes) -> "Ledger":
+    def load(cls, path) -> "Ledger":
+        """The ledger saved at `path`, under a fresh key."""
         try:
             with open(path, "rb") as fh:
                 data = fh.read()
@@ -124,7 +126,7 @@ class Ledger:
         body = data[5:]
         if len(body) % _RECORD_LEN:
             raise LedgerError("truncated ledger record")
-        ledger = cls(mac_key)
+        ledger = cls(new_mac_key())
         last_tau = -1
         for off in range(0, len(body), _RECORD_LEN):
             digest = body[off:off + 32]

@@ -7,6 +7,7 @@ import errno
 import os
 import re
 import shlex
+import shutil
 import subprocess
 import sys
 from functools import partial
@@ -14,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from pvqc import bench, cli, commit, compiler, harness, qsim, tlp
+from pvqc import bench, cli, commit, compiler, harness, qsim, timestamp, tlp
 from pvqc.commit import Opening
 from pvqc.fixtures import (accepting_corpus, small_accepting_circuit,
                            small_rejecting_circuit)
@@ -111,7 +112,7 @@ def test_reveal_requires_a_ledger(workspace):
 
 
 def _ledger_taus(paths):
-    return [tau for _, tau, _ in cli._load_ledger(paths["ledger"]).records]
+    return [tau for _, tau, _ in timestamp.Ledger.load(paths["ledger"]).records]
 
 
 @pytest.mark.parametrize("late", [False, True], ids=["honest", "late"])
@@ -131,19 +132,18 @@ def test_corpus_statement_tau_values(workspace, late):
     tau = compiler.parse_timestamped_proof(workspace["proof"].read_bytes()).stamp.tau
     assert tau == (740 if late else 76)
     assert _ledger_taus(workspace) == ([664, 740] if late else [76, 740])
-    assert sorted(p.name for p in workspace["ledger"].parent.iterdir()) == \
-        ["ledger.bin", "ledger.bin.key"]
+    assert sorted(p.name for p in workspace["ledger"].parent.iterdir()) == ["ledger.bin"]
     assert _verify(workspace) == (cli.EXIT_REJECT if late else cli.EXIT_ACCEPT)
 
 
 def test_time_survives_losing_files_next_to_the_ledger(workspace):
     # After the key is revealed, a prove must stamp at or after delta even
-    # when every file beside the ledger and its key is gone.
+    # when every file beside the ledger is gone.
     workspace["ledger"] = workspace["ledger"].parent / "log" / "ledger.bin"
     workspace["ledger"].parent.mkdir()
     _run_pipeline(workspace)
     for p in workspace["ledger"].parent.iterdir():
-        if p.name not in ("ledger.bin", "ledger.bin.key"):
+        if p.name != "ledger.bin":
             p.unlink()
     assert _prove(workspace) == cli.EXIT_ACCEPT
     delta = compiler.parse_crs(workspace["crs"].read_bytes()).delta
@@ -158,8 +158,9 @@ def test_prove_rejecting_circuit_errors(workspace, tmp_path):
     workspace["input"].write_text("".join(str(b) for b in x))
     assert _setup(workspace) == cli.EXIT_ACCEPT
     assert _prove(workspace) == cli.EXIT_ERROR
-    # A refused prove stamps nothing and does not move the ledger's time.
-    assert _ledger_taus(workspace) == []
+    # A refused prove stamps nothing and does not move the ledger's time:
+    # it writes no ledger.
+    assert not workspace["ledger"].exists()
 
 
 def test_verify_empty_committed_key_rejects(workspace, capsys):
@@ -197,19 +198,31 @@ def test_verify_writes_nothing(workspace):
     assert _tree(root) == before
 
 
-def test_new_ledger_files_are_written_whole(tmp_path, monkeypatch):
-    # The key file and the ledger go through a temp file and a rename:
-    # when the rename fails, neither appears and no temp file is left.
+def test_new_ledger_files_are_written_whole(workspace, monkeypatch):
+    # The ledger goes through a temp file and a rename: when the rename
+    # fails, prove exits 2, and no ledger, proof or temp file appears.
     def failing_replace(src, dst):
         raise OSError(errno.EIO, "rename failed")
 
+    assert _setup(workspace) == cli.EXIT_ACCEPT
+    before = _tree(workspace["ledger"].parent)
     monkeypatch.setattr(os, "replace", failing_replace)
-    with pytest.raises(OSError):
-        cli._open_ledger(tmp_path / "ledger.bin")
+    assert _prove(workspace) == cli.EXIT_ERROR
     monkeypatch.undo()
-    assert list(tmp_path.iterdir()) == []
-    cli._open_ledger(tmp_path / "ledger.bin")
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["ledger.bin", "ledger.bin.key"]
+    assert _tree(workspace["ledger"].parent) == before
+
+
+def test_verify_needs_only_the_files_it_names(workspace, tmp_path):
+    # A public verifier holds no secret: the six files verify names,
+    # copied elsewhere, suffice, and the session writes no key file.
+    _run_pipeline(workspace)
+    public = {name: tmp_path / "public" / workspace[name].name
+              for name in ("circuit", "input", "crs", "proof", "opening", "ledger")}
+    public["circuit"].parent.mkdir()
+    for name, path in public.items():
+        shutil.copyfile(workspace[name], path)
+    assert _verify(public) == cli.EXIT_ACCEPT
+    assert list(workspace["ledger"].parent.glob("*.key")) == []
 
 
 def test_bad_input_file_is_error(workspace):

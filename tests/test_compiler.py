@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from pvqc import commit, compiler, dvproof, qsim, tlp
+from pvqc import commit, compiler, dvproof, qsim, timestamp, tlp
 from pvqc.commit import Opening
 from pvqc.compiler import CostModel, TimestampedProof
 from pvqc.errors import FormatError, ParameterError, ProofRefused
@@ -161,6 +161,24 @@ def test_reject_site_stamp():
                               stamp=Stamp(tau=pi_tau.stamp.tau, auth_tag=bytes(32)))
     verdict, site = compiler.vc_verify_explain(crs, c, x, forged, opening, ledger)
     assert not verdict and site == compiler.REJECT_STAMP
+
+
+def test_tag_minted_with_the_ledger_key_rejects_at_stamp():
+    # After an honest prove and reveal, a proof forged with the revealed
+    # key and a tau = 0 tag minted with the ledger's own key: the ledger
+    # holds no such record, so the stamp fails.
+    c, x, cost, crs, token, _, clock = _pipeline()
+    key = new_mac_key()
+    ledger = Ledger(key)
+    compiler.vc_prove(crs, c, x, token, ledger, clock, cost)
+    opening = compiler.vc_reveal(crs, clock)
+    proof = dvproof.forge_proof(dvproof.DvSecretKey(mac_key=opening.sk_bytes),
+                                crs.pk, 1)
+    digest = hashlib.sha256(dvproof.serialize_proof(proof)).digest()
+    backdated = TimestampedProof(
+        proof=proof, stamp=Stamp(tau=0, auth_tag=timestamp._tag(key, digest, 0)))
+    assert compiler.vc_verify_explain(crs, c, x, backdated, opening, ledger) == \
+        (False, compiler.REJECT_STAMP)
 
 
 def test_reject_site_commitment():

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from pvqc import compiler, dvproof, qsim, timestamp, tlp
 from pvqc.commit import Opening
-from pvqc.errors import FormatError, ParameterError
+from pvqc.errors import FormatError, LedgerError, ParameterError
 from pvqc.meter import MeteredClock
 
 
@@ -149,6 +149,25 @@ def test_parsers_are_total(parse, data):
     try:
         parse(data.draw(_mutated(_VALID[parse])))
     except (FormatError, ParameterError):
+        pass
+
+
+# Two records in the documented layout: digest | u64be tau | tag.
+_LEDGER_FILE = b"PVQL" + bytes([0x01]) + b"".join(
+    hashlib.sha256(blob).digest() + struct.pack(">Q", tau) + bytes([tau]) * 32
+    for tau, blob in ((7, b"proof"), (9, b"opening")))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_ledger_parser_is_total(tmp_path_factory, data):
+    """A mutated ledger file loads as a ledger or raises LedgerError: the
+    file alone decides whether a stamp verifies."""
+    path = tmp_path_factory.getbasetemp() / "mutated-ledger.bin"
+    path.write_bytes(data.draw(_mutated(_LEDGER_FILE)))
+    try:
+        assert isinstance(timestamp.Ledger.load(path), timestamp.Ledger)
+    except LedgerError:
         pass
 
 

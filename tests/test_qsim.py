@@ -424,6 +424,8 @@ def test_parse_matches_gate_by_gate_parse(text):
     ("NOPE 0", ParameterError),
     ("H 0 0.5", ParameterError),
     ("RX 0", ParameterError),
+    ("DENSE_UNITARY 0 1.5 nan\n1.0,0.0 0.0,0.0\n0.0,0.0 1.0,0.0", FormatError),
+    ("DENSE_UNITARY " + ",".join(map(str, range(64))), ParameterError),
 ])
 def test_noncanonical_and_invalid_gate_lines(line, expected):
     text = f"qubits 2 output 0\n{line}\n"

@@ -2,6 +2,7 @@
 and forgery rejection, and file persistence."""
 
 import errno
+import hashlib
 import random
 
 import pytest
@@ -62,6 +63,17 @@ def test_forgery_attempts_all_rejected():
     assert accepted == 0
 
 
+def test_tag_minted_with_the_ledger_key_rejected():
+    """A stamp counts only if the ledger holds its record: a tag minted
+    with the ledger's own key for a (blob, tau) never appended fails."""
+    key = timestamp.new_mac_key()
+    ledger = timestamp.Ledger(key)
+    ledger.stamp(b"proof", MeteredClock(start=5))
+    for blob in (b"proof", b"forged"):
+        tag = timestamp._tag(key, hashlib.sha256(blob).digest(), 0)
+        assert not ledger.verify(blob, timestamp.Stamp(tau=0, auth_tag=tag))
+
+
 def test_tau_strictly_increasing_with_stalled_clock():
     ledger = timestamp.Ledger(timestamp.new_mac_key())
     clock = MeteredClock(start=3)
@@ -80,8 +92,7 @@ def test_records_are_append_only_view():
 
 
 def test_save_load_roundtrip(tmp_path):
-    key = timestamp.new_mac_key()
-    ledger = timestamp.Ledger(key)
+    ledger = timestamp.Ledger(timestamp.new_mac_key())
     clock = MeteredClock()
     stamps = []
     for blob in (b"one", b"two", b"three"):
@@ -89,15 +100,14 @@ def test_save_load_roundtrip(tmp_path):
         stamps.append((blob, ledger.stamp(blob, clock)))
     path = tmp_path / "ledger.bin"
     ledger.save(path)
-    loaded = timestamp.Ledger.load(path, key)
+    loaded = timestamp.Ledger.load(path)
     assert loaded.records == ledger.records
     for blob, stamp in stamps:
         assert loaded.verify(blob, stamp)
 
 
 def test_load_rejects_corrupt_files(tmp_path):
-    key = timestamp.new_mac_key()
-    ledger = timestamp.Ledger(key)
+    ledger = timestamp.Ledger(timestamp.new_mac_key())
     ledger.stamp(b"a", MeteredClock())
     path = tmp_path / "ledger.bin"
     ledger.save(path)
@@ -106,17 +116,16 @@ def test_load_rejects_corrupt_files(tmp_path):
     bad = tmp_path / "bad.bin"
     bad.write_bytes(b"XXXX" + data[4:])
     with pytest.raises(LedgerError):
-        timestamp.Ledger.load(bad, key)
+        timestamp.Ledger.load(bad)
     bad.write_bytes(data[:-1])
     with pytest.raises(LedgerError):
-        timestamp.Ledger.load(bad, key)
+        timestamp.Ledger.load(bad)
     with pytest.raises(LedgerError):
-        timestamp.Ledger.load(tmp_path / "missing.bin", key)
+        timestamp.Ledger.load(tmp_path / "missing.bin")
 
 
 def test_load_rejects_non_increasing_tau(tmp_path):
-    key = timestamp.new_mac_key()
-    ledger = timestamp.Ledger(key)
+    ledger = timestamp.Ledger(timestamp.new_mac_key())
     clock = MeteredClock()
     ledger.stamp(b"a", clock)
     ledger.stamp(b"b", clock)
@@ -127,7 +136,7 @@ def test_load_rejects_non_increasing_tau(tmp_path):
     data[5 + 72:5 + 144] = data[5:5 + 72]
     path.write_bytes(bytes(data))
     with pytest.raises(LedgerError):
-        timestamp.Ledger.load(path, key)
+        timestamp.Ledger.load(path)
 
 
 class _HalfWriter:
@@ -150,8 +159,7 @@ class _HalfWriter:
 
 
 def test_failed_save_keeps_previous_ledger(tmp_path, monkeypatch):
-    key = timestamp.new_mac_key()
-    ledger = timestamp.Ledger(key)
+    ledger = timestamp.Ledger(timestamp.new_mac_key())
     clock = MeteredClock()
     ledger.stamp(b"a", clock)
     path = tmp_path / "ledger.bin"
@@ -168,7 +176,7 @@ def test_failed_save_keeps_previous_ledger(tmp_path, monkeypatch):
         ledger.save(path)
     monkeypatch.undo()
     assert path.read_bytes() == before
-    assert timestamp.Ledger.load(path, key).records == ledger.records[:1]
+    assert timestamp.Ledger.load(path).records == ledger.records[:1]
     assert [p.name for p in tmp_path.iterdir()] == ["ledger.bin"]
 
 
