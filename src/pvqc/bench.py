@@ -3,8 +3,10 @@ and the HHL methodology.
 
 Calibration works in quarter-millisecond units: circuit time T and the
 hash rate are converted so the chosen mu targets a solve time of about
-T^(1+eps) in those units, which exceeds T whenever T > 0.25 ms; a T below
-one unit counts as one unit, so the target is at least T for every T.  (In
+(T + 1)^(1+eps) in those units.  The added unit keeps a margin at every T:
+for eps = 0.5 the target is at least 2.6 times T (the minimum, 3^1.5 / 2,
+falls at T = 2 units), where T^(1+eps) alone equals T at T = 1 unit.  For
+T of many units the two agree to within a factor (1 + 1/T)^(1+eps).  (In
 straight seconds the exponent would shrink sub-second times instead of
 growing them.)  Wall-clock columns are machine-dependent; medians are
 used to resist scheduler noise.
@@ -19,7 +21,8 @@ from . import qsim, tlp
 from .compiler import DEFAULT_EPSILON
 
 CALIBRATION_UNIT_MS = 0.25
-HASH_SAMPLE_STEPS = 20000
+HASH_SAMPLE_STEPS = 2000
+HASH_SAMPLES = 25
 MU_LIST = (2**10, 2**12, 2**14, 2**16)
 QUBITS = (5, 10, 15)
 DEPTHS = (10, 20, 50, 100, 200, 300)
@@ -41,11 +44,11 @@ def _median_time(fn, repetitions: int) -> float:
 
 def measure_hash_rate() -> float:
     """Sequential chain steps per second on this machine, timed on the
-    loop that `tlp.solve` runs: the fastest of five samples, because a
-    deadline must hold against the fastest solver, and one sample taken
-    while the machine is busy reads the rate low."""
+    loop that `tlp.solve` runs: the fastest of many short samples, because
+    a deadline must hold against the fastest solver, and a machine whose
+    speed drifts over tens of milliseconds reads low on a long sample."""
     best = float("inf")
-    for _ in range(5):
+    for _ in range(HASH_SAMPLES):
         start = time.perf_counter()
         tlp._walk_chain(bytes(32), HASH_SAMPLE_STEPS)
         best = min(best, time.perf_counter() - start)
@@ -82,8 +85,8 @@ def bench_tlp(repetitions: int = 5) -> list[dict]:
 
 
 def calibrate_cell(t_ms: float, epsilon: float, hash_rate: float) -> int:
-    """Mu for a measured circuit time, in millisecond calibration units."""
-    return tlp.calibrate_mu(max(t_ms / CALIBRATION_UNIT_MS, 1.0), epsilon,
+    """Mu for a measured circuit time: (T + 1)^(1+eps) calibration units."""
+    return tlp.calibrate_mu(t_ms / CALIBRATION_UNIT_MS + 1.0, epsilon,
                             hash_rate * CALIBRATION_UNIT_MS / 1e3)
 
 

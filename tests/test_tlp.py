@@ -129,8 +129,9 @@ def test_calibrate_mu_monotone_in_t():
 
 
 def test_calibrate_cell_floors_short_circuit_times():
-    # 0.1 ms is below one 0.25 ms calibration unit: it is charged as one
-    # unit, 250 steps at 10^6 steps/s, so the solve outlasts the circuit.
+    # 0.1 ms is below one 0.25 ms calibration unit: it is charged as
+    # 1.4 units, 1.4^1.5 * 250 ~ 415 steps at 10^6 steps/s, so the solve
+    # outlasts the circuit.
     assert bench.calibrate_cell(0.1, 0.5, 1e6) > 100
 
 
