@@ -27,6 +27,8 @@ MU_LIST = (2**10, 2**12, 2**14, 2**16)
 QUBITS = (5, 10, 15)
 DEPTHS = (10, 20, 50, 100, 200, 300)
 HHL_SIZES = (2, 4, 8, 16)
+CIRCUIT_SEED = 1      # random_circuit seed base for the QUBITS x DEPTHS grid
+HHL_SEED = 1          # numpy seed of the HHL instances
 
 _HEADER = ("# wall-clock columns (*_ms, *_s, hash_rate) are machine-dependent; "
            "mu and fidelity are deterministic given seeds")
@@ -90,7 +92,7 @@ def calibrate_cell(t_ms: float, epsilon: float, hash_rate: float) -> int:
                             hash_rate * CALIBRATION_UNIT_MS / 1e3)
 
 
-def bench_circuits(trials: int = 3, seed: int = 1) -> list[dict]:
+def bench_circuits(trials: int = 3) -> list[dict]:
     """Median simulation time per (qubits, depth) cell, the mu the
     calibration chooses, and the solve and GenPuzzle times for that mu."""
     hash_rate = measure_hash_rate()
@@ -98,7 +100,7 @@ def bench_circuits(trials: int = 3, seed: int = 1) -> list[dict]:
     rows = []
     for n in QUBITS:
         for depth in DEPTHS:
-            circuit = qsim.random_circuit(n, depth, seed + 1000 * n + depth)
+            circuit = qsim.random_circuit(n, depth, CIRCUIT_SEED + 1000 * n + depth)
             x = [0] * n
             t_s = _median_time(lambda: accept_prob(circuit, x), trials)
             t_ms = t_s * 1e3
@@ -120,13 +122,13 @@ def bench_circuits(trials: int = 3, seed: int = 1) -> list[dict]:
     return rows
 
 
-def bench_hhl(seed: int = 7) -> list[dict]:
+def bench_hhl() -> list[dict]:
     """Depth estimate, execution time, calibrated mu, and fidelity for
     well-conditioned Hermitian instances of each size."""
     import numpy as np
 
     hash_rate = measure_hash_rate()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(HHL_SEED)
     rows = []
     for n in HHL_SIZES:
         m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))

@@ -113,10 +113,9 @@ def vc_setup(lam: int, c: qsim.Circuit, x, cost: CostModel
 
 def vc_prove(crs: Crs, c: qsim.Circuit, x, token: OracleToken, ledger: Ledger,
              clock: MeteredClock, cost: CostModel | None = None) -> TimestampedProof:
-    """Prove phase: charge the computation cost, obtain the backend proof,
-    and timestamp it."""
-    if token.session_nonce != crs.pk.session_nonce:
-        raise ParameterError("oracle token does not match this CRS")
+    """Prove phase: charge the computation cost, obtain the backend proof
+    (the oracle refuses a foreign token or a false statement), and
+    timestamp it."""
     if cost is None:
         cost = CostModel.from_circuit(c)
     clock.charge(cost.t_units)

@@ -2,6 +2,7 @@
 experiment and bench subcommands, exit-code discipline, and the commands
 that README.md shows."""
 
+import argparse
 import dataclasses
 import errno
 import os
@@ -101,6 +102,23 @@ def test_reveal_before_prove_stamps_late(workspace, capsys):
     assert "site=timestamp" in capsys.readouterr().out
 
 
+def test_reveal_reports_progress_per_interval(workspace, capsys, monkeypatch):
+    # Every delta the tests and benchmarks use is below the 2**16-step
+    # interval, so only a smaller one reaches reveal's progress lines.
+    monkeypatch.setattr(tlp, "PROGRESS_INTERVAL", 8)
+    assert _setup(workspace) == cli.EXIT_ACCEPT
+    assert _prove(workspace) == cli.EXIT_ACCEPT
+    delta = compiler.parse_crs(workspace["crs"].read_bytes()).delta
+    assert delta > 2 * 8 and delta % 8
+    tau = _ledger_taus(workspace)[-1]
+    capsys.readouterr()
+    assert _reveal(workspace) == cli.EXIT_ACCEPT
+    assert capsys.readouterr().err.splitlines() == [
+        f"solved {k}/{delta} steps" for k in range(8, delta + 1, 8)]
+    assert _ledger_taus(workspace)[-1] == tau + delta
+    assert _verify(workspace) == cli.EXIT_ACCEPT
+
+
 def test_reveal_requires_a_ledger(workspace):
     # Every reveal stamps the opening: there is no ledger-less reveal.
     assert _setup(workspace) == cli.EXIT_ACCEPT
@@ -152,12 +170,15 @@ def test_time_survives_losing_files_next_to_the_ledger(workspace):
     assert _verify(workspace) == cli.EXIT_REJECT
 
 
-def test_prove_rejecting_circuit_errors(workspace, tmp_path):
+def test_prove_rejecting_circuit_errors(workspace, capsys):
     circuit, x = small_rejecting_circuit()
     workspace["circuit"].write_text(qsim.circuit_to_text(circuit))
     workspace["input"].write_text("".join(str(b) for b in x))
     assert _setup(workspace) == cli.EXIT_ACCEPT
+    capsys.readouterr()
+    # The refusal takes cli.main's one error path.
     assert _prove(workspace) == cli.EXIT_ERROR
+    assert capsys.readouterr() == ("", "error: circuit does not accept: honest prover refuses\n")
     # A refused prove stamps nothing and does not move the ledger's time:
     # it writes no ledger.
     assert not workspace["ledger"].exists()
@@ -256,15 +277,17 @@ def test_strategy_aliases_name_every_harness_strategy():
                                      for s in harness.STRATEGIES}
 
 
-def test_experiment_command(workspace, tmp_path, capsys):
-    summary = tmp_path / "summary.txt"
+def test_experiment_command(workspace, capsys):
+    # The report is stdout: exactly the harness report, nothing else.
     code = cli.main(["experiment", *_statement_args(workspace),
-                     "--strategy", "a1", "--trials", "5", "--seed", "1",
-                     "--summary", str(summary)])
+                     "--strategy", "a1", "--trials", "5", "--seed", "1"])
     assert code == cli.EXIT_ACCEPT
-    out = capsys.readouterr().out
-    assert "wins=0" in out
-    assert summary.read_text() == out
+    circuit, x = small_accepting_circuit()
+    report = harness.run_experiment(
+        harness.AdversarySpec(strategy=harness.A1_GUESS_KEY), circuit, x,
+        cost=compiler.CostModel.from_circuit(circuit), trials=5, seed=1)
+    assert report.wins == 0
+    assert capsys.readouterr() == (report.to_text(), "")
 
 
 def test_experiment_honest_command(workspace, capsys):
@@ -274,38 +297,70 @@ def test_experiment_honest_command(workspace, capsys):
     assert "wins=0" in capsys.readouterr().out
 
 
-def _report_rows(path):
-    return [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
+def _report_rows(capsys):
+    """The data rows of the report a bench command printed to stdout."""
+    out, err = capsys.readouterr()
+    assert err == ""
+    return [ln for ln in out.splitlines() if not ln.startswith("#")]
 
 
-def test_bench_tlp_command(tmp_path, capsys):
-    out_path = tmp_path / "report.txt"
-    code = cli.main(["bench", "tlp", "--repetitions", "1", "--out", str(out_path)])
-    assert code == cli.EXIT_ACCEPT
-    data_lines = _report_rows(out_path)
+def test_bench_tlp_command(capsys):
+    assert cli.main(["bench", "tlp", "--repetitions", "1"]) == cli.EXIT_ACCEPT
+    data_lines = _report_rows(capsys)
     assert len(data_lines) == 4
     assert all("solve_ms=" in ln for ln in data_lines)
 
 
-def test_bench_circuits_command(tmp_path, monkeypatch):
+def test_bench_circuits_command(capsys, monkeypatch):
     monkeypatch.setattr(bench, "QUBITS", (5,))
     monkeypatch.setattr(bench, "DEPTHS", (10,))
-    out_path = tmp_path / "report.txt"
-    code = cli.main(["bench", "circuits", "--repetitions", "1", "--out", str(out_path)])
-    assert code == cli.EXIT_ACCEPT
-    rows = _report_rows(out_path)
+    assert cli.main(["bench", "circuits", "--repetitions", "1"]) == cli.EXIT_ACCEPT
+    rows = _report_rows(capsys)
     assert len(rows) == 1
     assert rows[0].startswith("row=circuit qubits=5 depth=10 ")
     assert "solve_ms=" in rows[0]
 
 
-def test_bench_hhl_command(tmp_path, monkeypatch):
+def test_bench_hhl_command(capsys, monkeypatch):
     monkeypatch.setattr(bench, "HHL_SIZES", (2,))
-    out_path = tmp_path / "report.txt"
-    assert cli.main(["bench", "hhl", "--out", str(out_path)]) == cli.EXIT_ACCEPT
-    rows = _report_rows(out_path)
+    assert cli.main(["bench", "hhl"]) == cli.EXIT_ACCEPT
+    rows = _report_rows(capsys)
     assert len(rows) == 1
     assert rows[0].startswith("row=hhl n=2 ")
+
+
+def _command_options(parser, words=()):
+    """{command: its option strings} for every command `parser` runs; a
+    positional argument counts by name, `-h` not at all."""
+    subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if subparsers:
+        return {command: options for action in subparsers
+                for name, sub in action.choices.items()
+                for command, options in _command_options(sub, (*words, name)).items()}
+    return {" ".join(words): [option for a in parser._actions
+                              if not isinstance(a, argparse._HelpAction)
+                              for option in a.option_strings or [a.dest]]}
+
+
+def test_cli_option_inventory():
+    # Every option the CLI accepts, and each is read by its command.  A new
+    # option has to be added here.
+    statement = ["--circuit", "--input"]
+    inventory = {
+        "setup": [*statement, "--epsilon", "--crs", "--oracle"],
+        "prove": [*statement, "--crs", "--oracle", "--ledger", "--proof"],
+        "reveal": ["--crs", "--opening", "--ledger"],
+        "verify": [*statement, "--crs", "--proof", "--opening", "--ledger"],
+        "experiment": [*statement, "--epsilon", "--strategy", "--trials", "--seed"],
+        "bench tlp": ["--repetitions"],
+        "bench circuits": ["--repetitions"],
+        "bench hhl": [],
+    }
+    assert _command_options(cli.build_parser()) == inventory
+    assert sum(map(len, inventory.values())) == 28
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["bench", "hhl", "--repetitions", "3"])
+    assert exc.value.code == cli.EXIT_ERROR
 
 
 def _readme_commands():
@@ -341,41 +396,39 @@ def test_unknown_subcommand_errors():
 def _session_outputs(root, capsys):
     """Run one script of commands through `cli.main` in `root`: an honest
     session, a late-order session, a reveal without --ledger, then an
-    experiment with and one without --summary.  Returns each command's
-    (exit code, stdout, stderr) and the text of every summary written."""
+    experiment with --seed 2 and one without --seed.  Returns each
+    command's (exit code, stdout, stderr)."""
     honest, late = _make_workspace(root / "honest"), _make_workspace(root / "late")
-    summary = root / "summary.txt"
     experiment = ["experiment", *_statement_args(honest), "--strategy", "a1",
-                  "--trials", "3", "--seed", "1"]
+                  "--trials", "3"]
     steps = [*(partial(step, honest) for step in (_setup, _prove, _reveal, _verify)),
              *(partial(step, late) for step in (_setup, _reveal, _prove, _verify)),
              partial(cli.main, ["reveal", "--crs", str(honest["crs"]),
                                 "--opening", str(root / "opening.bin")]),
-             partial(cli.main, [*experiment, "--summary", str(summary)]),
+             partial(cli.main, [*experiment, "--seed", "2"]),
              partial(cli.main, experiment)]
-    outputs, summaries = [], []
+    outputs = []
     for step in steps:
         try:
             code = step()
         except SystemExit as exc:
             code = exc.code
         outputs.append((code, *capsys.readouterr()))
-        if summary.exists():
-            summaries.append(summary.read_text())
-            summary.unlink()
-    return outputs, summaries
+    return outputs
 
 
 def test_one_parser_serves_a_whole_session(tmp_path, capsys, monkeypatch):
     # cli.main parses with one parser per process; no state of one call
     # reaches the next, so every command behaves as on a fresh parser.
     assert cli.build_parser() is cli.build_parser()
-    reused, summaries = _session_outputs(tmp_path / "reused", capsys)
+    reused = _session_outputs(tmp_path / "reused", capsys)
     assert [code for code, _, _ in reused] == [0, 0, 0, 0, 0, 0, 0, 1, 2, 0, 0]
-    assert summaries == [reused[-2][1]]
+    # The --seed of one experiment does not reach the next.
+    assert "\nseed=2\n" in reused[-2][1]
+    assert "\nseed=0\n" in reused[-1][1]
     monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
     assert cli.build_parser() is not cli.build_parser()
-    assert _session_outputs(tmp_path / "fresh", capsys) == (reused, summaries)
+    assert _session_outputs(tmp_path / "fresh", capsys) == reused
 
 
 def test_verify_loads_neither_numpy_nor_the_simulator(workspace):
