@@ -7,7 +7,8 @@ comparison of two source trees.
     python scripts/bench_qsim.py --trees BEFORE_SRC AFTER_SRC --rounds 5
         Runs the first form once per round in each tree (PYTHONPATH set to
         the tree, BLAS on one thread), alternating which goes first, and
-        prints median, min and n of the per-round values for both trees.
+        prints median, min and n of the per-round values for both trees,
+        plus their quartiles q1 and q3 (inclusive method) when n >= 2.
 
 Per-kind rows: a two-qubit kind is timed alone, 200 gates on random pairs.
 A one-qubit kind is timed as 200 (gate, CZ) pairs minus 200 CZs alone: the
@@ -210,9 +211,15 @@ def compare(trees: list[str], rounds: int) -> dict:
                                   capture_output=True, text=True).stdout
             for name, value in json.loads(line).items():
                 samples[tree].setdefault(name, []).append(value)
-    return {tree: {name: {"median": statistics.median(v), "min": min(v), "n": len(v)}
-                   for name, v in rows.items()}
+    return {tree: {name: _summary(v) for name, v in rows.items()}
             for tree, rows in samples.items()}
+
+
+def _summary(v: list[float]) -> dict[str, float]:
+    row = {"median": statistics.median(v), "min": min(v), "n": len(v)}
+    if len(v) >= 2:
+        row["q1"], _, row["q3"] = statistics.quantiles(v, n=4, method="inclusive")
+    return row
 
 
 def main() -> None:

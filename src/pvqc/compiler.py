@@ -192,11 +192,9 @@ def parse_crs(data: bytes) -> Crs:
     (mu,) = struct.unpack(">Q", body[32:40])
     pk = DvPublicKey(circuit_digest=body[40:72], input_digest=body[72:104],
                      session_nonce=body[104:120])
-    puzzle, rest = tlp.parse_puzzle_prefix(body[120:])
-    if len(rest) != 32:
-        raise FormatError("truncated CRS tail")
-    return Crs(tpk=TlpPublicParams(seed=body[:32], mu=mu), pk=pk, puzzle=puzzle,
-               commitment=Commitment(digest=rest))
+    return Crs(tpk=TlpPublicParams(seed=body[:32], mu=mu), pk=pk,
+               puzzle=tlp.parse_puzzle(body[120:-32]),
+               commitment=Commitment(digest=body[-32:]))
 
 
 def serialize_timestamped_proof(pi_tau: TimestampedProof) -> bytes:
@@ -205,11 +203,9 @@ def serialize_timestamped_proof(pi_tau: TimestampedProof) -> bytes:
 
 
 def parse_timestamped_proof(data: bytes) -> TimestampedProof:
-    proof, rest = dvproof.parse_proof_prefix(data)
-    if len(rest) != 40:
-        raise FormatError("bad timestamped proof record")
-    (tau,) = struct.unpack(">Q", rest[:8])
-    return TimestampedProof(proof=proof, stamp=Stamp(tau=tau, auth_tag=rest[8:]))
+    proof = dvproof.parse_proof(data[:-40])
+    (tau,) = struct.unpack(">Q", data[-40:-32])
+    return TimestampedProof(proof=proof, stamp=Stamp(tau=tau, auth_tag=data[-32:]))
 
 
 def serialize_opening(y: Opening) -> bytes:

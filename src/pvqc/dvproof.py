@@ -74,6 +74,10 @@ class OracleToken:
     mac_key: bytes
     session_nonce: bytes
 
+    def __post_init__(self):
+        if len(self.mac_key) != KEY_LEN:
+            raise ParameterError(f"oracle token requires a {KEY_LEN}-byte key")
+
 
 def circuit_digest(c: qsim.Circuit) -> bytes:
     """SHA-256 of the statement's binary encoding under a domain tag.
@@ -143,8 +147,6 @@ def verify(pk: DvPublicKey, sk: DvSecretKey, pi: DvProof) -> bool:
 
 
 def serialize_token(token: OracleToken) -> bytes:
-    if len(token.mac_key) != KEY_LEN:
-        raise ParameterError(f"token serialization requires a {KEY_LEN}-byte key")
     return _TOKEN_MAGIC + bytes([_VERSION]) + token.mac_key + token.session_nonce
 
 
@@ -159,15 +161,8 @@ def serialize_proof(pi: DvProof) -> bytes:
 
 
 def parse_proof(data: bytes) -> DvProof:
-    pi, rest = parse_proof_prefix(data)
-    if rest:
-        raise FormatError("trailing bytes after proof record")
-    return pi
-
-
-def parse_proof_prefix(data: bytes) -> tuple[DvProof, bytes]:
-    if len(data) < 38 or data[:4] != _PROOF_MAGIC or data[4] != _VERSION:
+    if len(data) != 38 or data[:4] != _PROOF_MAGIC or data[4] != _VERSION:
         raise FormatError("bad proof record")
     if data[5] not in (0, 1):
         raise FormatError("bad claimed bit")
-    return DvProof(claimed_bit=data[5], tag=data[6:38]), data[38:]
+    return DvProof(claimed_bit=data[5], tag=data[6:])

@@ -9,10 +9,6 @@ class PuzzleIntegrityError(Exception):
     """Puzzle tag did not verify: corrupt puzzle or wrong parameters."""
 
 
-class LedgerError(Exception):
-    """Timestamp ledger I/O or format failure."""
-
-
 class ProofRefused(Exception):
     """The prover oracle refuses to prove a non-accepting statement."""
 

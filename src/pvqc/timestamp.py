@@ -18,7 +18,7 @@ import struct
 import threading
 from dataclasses import dataclass
 
-from .errors import LedgerError, ParameterError
+from .errors import FormatError, ParameterError
 from .meter import MeteredClock
 
 _DOMAIN = b"STAMPv1"
@@ -108,24 +108,18 @@ class Ledger:
     def save(self, path) -> None:
         data = _MAGIC + bytes([_VERSION]) + b"".join(
             digest + struct.pack(">Q", tau) + tag for digest, tau, tag in self._records)
-        try:
-            write_atomic(path, data)
-        except OSError as exc:
-            raise LedgerError(f"cannot write ledger: {exc}") from exc
+        write_atomic(path, data)
 
     @classmethod
     def load(cls, path) -> "Ledger":
         """The ledger saved at `path`, under a fresh key."""
-        try:
-            with open(path, "rb") as fh:
-                data = fh.read()
-        except OSError as exc:
-            raise LedgerError(f"cannot read ledger: {exc}") from exc
+        with open(path, "rb") as fh:
+            data = fh.read()
         if len(data) < 5 or data[:4] != _MAGIC or data[4] != _VERSION:
-            raise LedgerError("bad ledger header")
+            raise FormatError("bad ledger header")
         body = data[5:]
         if len(body) % _RECORD_LEN:
-            raise LedgerError("truncated ledger record")
+            raise FormatError("truncated ledger record")
         ledger = cls(new_mac_key())
         last_tau = -1
         for off in range(0, len(body), _RECORD_LEN):
@@ -133,7 +127,7 @@ class Ledger:
             (tau,) = struct.unpack(">Q", body[off + 32:off + 40])
             tag = body[off + 40:off + 72]
             if tau <= last_tau:
-                raise LedgerError("ledger tau sequence not strictly increasing")
+                raise FormatError("ledger tau sequence not strictly increasing")
             last_tau = tau
             ledger._records.append((digest, tau, tag))
         return ledger

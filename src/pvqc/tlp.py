@@ -173,22 +173,11 @@ def serialize_puzzle(o: Puzzle) -> bytes:
 
 
 def parse_puzzle(data: bytes) -> Puzzle:
-    o, rest = parse_puzzle_prefix(data)
-    if rest:
-        raise FormatError("trailing bytes after puzzle record")
-    return o
-
-
-def parse_puzzle_prefix(data: bytes) -> tuple[Puzzle, bytes]:
-    """Parse a puzzle record off the front of `data`; return the remainder."""
     if len(data) < 26 or data[:4] != _MAGIC:
         raise FormatError("bad puzzle magic")
     if data[4] != _VERSION or data[5] != _RECORD_PUZZLE:
         raise FormatError("unsupported puzzle version or record type")
-    nonce = data[6:22]
     (clen,) = struct.unpack(">I", data[22:26])
-    if len(data) < 26 + clen + 32:
-        raise FormatError("truncated puzzle record")
-    ciphertext = data[26:26 + clen]
-    tag = data[26 + clen:26 + clen + 32]
-    return Puzzle(nonce=nonce, ciphertext=ciphertext, tag=tag), data[26 + clen + 32:]
+    if len(data) != 26 + clen + 32:
+        raise FormatError("bad puzzle record length")
+    return Puzzle(nonce=data[6:22], ciphertext=data[26:-32], tag=data[-32:])

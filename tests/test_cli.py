@@ -219,6 +219,19 @@ def test_verify_writes_nothing(workspace):
     assert _tree(root) == before
 
 
+def test_verify_reports_a_bad_ledger(workspace, capsys):
+    # A corrupt ledger is a FormatError and a missing one the OSError of
+    # reading it; both take cli.main's one error path.
+    _run_pipeline(workspace)
+    workspace["ledger"].write_bytes(b"XXXX")
+    capsys.readouterr()
+    assert _verify(workspace) == cli.EXIT_ERROR
+    assert capsys.readouterr().err == "error: bad ledger header\n"
+    workspace["ledger"].unlink()
+    assert _verify(workspace) == cli.EXIT_ERROR
+    assert capsys.readouterr().err.startswith("error: [Errno 2] No such file or directory")
+
+
 def test_new_ledger_files_are_written_whole(workspace, monkeypatch):
     # The ledger goes through a temp file and a rename: when the rename
     # fails, prove exits 2, and no ledger, proof or temp file appears.

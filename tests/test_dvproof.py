@@ -141,6 +141,8 @@ def test_token_serialization_roundtrip():
         dvproof.parse_token(blob[:-1])
     with pytest.raises(FormatError):
         dvproof.parse_token(b"XXXX" + blob[4:])
+    with pytest.raises(ParameterError):
+        dvproof.OracleToken(mac_key=token.mac_key[:-1], session_nonce=token.session_nonce)
 
 
 def test_proof_serialization_roundtrip():

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from pvqc import compiler, dvproof, qsim, timestamp, tlp
 from pvqc.commit import Opening
-from pvqc.errors import FormatError, LedgerError, ParameterError
+from pvqc.errors import FormatError, ParameterError
 from pvqc.meter import MeteredClock
 
 
@@ -161,14 +161,36 @@ _LEDGER_FILE = b"PVQL" + bytes([0x01]) + b"".join(
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_ledger_parser_is_total(tmp_path_factory, data):
-    """A mutated ledger file loads as a ledger or raises LedgerError: the
+    """A mutated ledger file loads as a ledger or raises FormatError: the
     file alone decides whether a stamp verifies."""
     path = tmp_path_factory.getbasetemp() / "mutated-ledger.bin"
     path.write_bytes(data.draw(_mutated(_LEDGER_FILE)))
     try:
         assert isinstance(timestamp.Ledger.load(path), timestamp.Ledger)
-    except LedgerError:
+    except FormatError:
         pass
+
+
+_BINARY = {**{parse: valid for parse, valid in _VALID.items()
+              if parse is not qsim.circuit_from_text},
+           timestamp.Ledger.load: _LEDGER_FILE}
+
+
+@pytest.mark.parametrize("parse", list(_BINARY), ids=lambda f: f.__qualname__)
+def test_binary_parsers_take_exactly_one_record(parse, tmp_path):
+    """A record parses; one byte more or one byte less is a FormatError."""
+    def run(data):
+        if parse == timestamp.Ledger.load:
+            path = tmp_path / "ledger.bin"
+            path.write_bytes(data)
+            return parse(path)
+        return parse(data)
+
+    valid = _BINARY[parse]
+    run(valid)
+    for data in (valid + b"\x00", valid[:-1]):
+        with pytest.raises(FormatError):
+            run(data)
 
 
 def test_chain_domain_separation():

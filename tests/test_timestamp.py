@@ -8,7 +8,7 @@ import random
 import pytest
 
 from pvqc import timestamp
-from pvqc.errors import LedgerError, ParameterError
+from pvqc.errors import FormatError, ParameterError
 from pvqc.meter import MeteredClock
 
 # Computed with an independent HMAC-SHA-256 oracle before the build.
@@ -115,12 +115,12 @@ def test_load_rejects_corrupt_files(tmp_path):
 
     bad = tmp_path / "bad.bin"
     bad.write_bytes(b"XXXX" + data[4:])
-    with pytest.raises(LedgerError):
+    with pytest.raises(FormatError):
         timestamp.Ledger.load(bad)
     bad.write_bytes(data[:-1])
-    with pytest.raises(LedgerError):
+    with pytest.raises(FormatError):
         timestamp.Ledger.load(bad)
-    with pytest.raises(LedgerError):
+    with pytest.raises(FileNotFoundError):
         timestamp.Ledger.load(tmp_path / "missing.bin")
 
 
@@ -135,7 +135,7 @@ def test_load_rejects_non_increasing_tau(tmp_path):
     # Duplicate the first record over the second (tau repeats).
     data[5 + 72:5 + 144] = data[5:5 + 72]
     path.write_bytes(bytes(data))
-    with pytest.raises(LedgerError):
+    with pytest.raises(FormatError):
         timestamp.Ledger.load(path)
 
 
@@ -172,7 +172,7 @@ def test_failed_save_keeps_previous_ledger(tmp_path, monkeypatch):
         return _HalfWriter(fh) if "w" in mode else fh
 
     monkeypatch.setattr(timestamp, "open", half_writing_open, raising=False)
-    with pytest.raises(LedgerError):
+    with pytest.raises(OSError):
         ledger.save(path)
     monkeypatch.undo()
     assert path.read_bytes() == before

@@ -110,14 +110,6 @@ def test_parse_puzzle_errors():
         tlp.parse_puzzle(blob + b"\x00")
 
 
-def test_parse_puzzle_prefix_returns_remainder():
-    tpk, tsk = tlp.setup(256, 1, seed=bytes(32))
-    puzzle = tlp.gen_puzzle(b"m", tpk, tsk)
-    parsed, rest = tlp.parse_puzzle_prefix(tlp.serialize_puzzle(puzzle) + b"tail")
-    assert parsed == puzzle
-    assert rest == b"tail"
-
-
 def test_calibrate_mu_limit_case():
     # epsilon -> 0+ at T = 1 s and 1e6 steps/s approaches 1e6 + 1.
     assert tlp.calibrate_mu(1.0, 1e-12, 1e6) == 10**6 + 1
