@@ -29,15 +29,13 @@ _STRATEGY_ALIASES = {"honest": "HONEST", "a1": "A1_GUESS_KEY",
                      "a4": "A4_RANDOM_TAG"}
 
 
-def _read_circuit(path) -> qsim.Circuit:
-    return qsim.circuit_from_text(Path(path).read_text())
-
-
-def _read_input(path) -> list[int]:
-    text = Path(path).read_text().strip()
+def _read_statement(args) -> tuple[qsim.Circuit, list[int]]:
+    """The statement (C, x) named by `--circuit` and `--input`."""
+    circuit = qsim.circuit_from_text(Path(args.circuit).read_text())
+    text = Path(args.input).read_text().strip()
     if any(ch not in "01" for ch in text):
         raise ValueError("input file must contain only 0/1 characters")
-    return [int(ch) for ch in text]
+    return circuit, [int(ch) for ch in text]
 
 
 def _open_ledger(path) -> tuple[timestamp.Ledger, MeteredClock]:
@@ -51,8 +49,7 @@ def _open_ledger(path) -> tuple[timestamp.Ledger, MeteredClock]:
 
 
 def _cmd_setup(args) -> int:
-    circuit = _read_circuit(args.circuit)
-    x = _read_input(args.input)
+    circuit, x = _read_statement(args)
     cost = CostModel.from_circuit(circuit, epsilon=args.epsilon)
     crs, token = compiler.vc_setup(compiler.DEFAULT_LAMBDA, circuit, x, cost)
     Path(args.crs).write_bytes(compiler.serialize_crs(crs))
@@ -63,8 +60,7 @@ def _cmd_setup(args) -> int:
 
 def _cmd_prove(args) -> int:
     crs = compiler.parse_crs(Path(args.crs).read_bytes())
-    circuit = _read_circuit(args.circuit)
-    x = _read_input(args.input)
+    circuit, x = _read_statement(args)
     token = dvproof.parse_token(Path(args.oracle).read_bytes())
     ledger, clock = _open_ledger(args.ledger)
     pi_tau = compiler.vc_prove(crs, circuit, x, token, ledger, clock,
@@ -92,8 +88,7 @@ def _cmd_reveal(args) -> int:
 
 def _cmd_verify(args) -> int:
     crs = compiler.parse_crs(Path(args.crs).read_bytes())
-    circuit = _read_circuit(args.circuit)
-    x = _read_input(args.input)
+    circuit, x = _read_statement(args)
     pi_tau = compiler.parse_timestamped_proof(Path(args.proof).read_bytes())
     opening = compiler.parse_opening_record(Path(args.opening).read_bytes())
     ledger = timestamp.Ledger.load(args.ledger)
@@ -107,12 +102,9 @@ def _cmd_verify(args) -> int:
 
 def _cmd_experiment(args) -> int:
     from . import harness   # only this command runs it
-    circuit = _read_circuit(args.circuit)
-    x = _read_input(args.input)
+    circuit, x = _read_statement(args)
     spec = harness.AdversarySpec(strategy=_STRATEGY_ALIASES[args.strategy])
-    cost = CostModel.from_circuit(circuit, epsilon=args.epsilon)
-    report = harness.run_experiment(spec, circuit, x, cost=cost,
-                                    trials=args.trials, seed=args.seed)
+    report = harness.run_experiment(spec, circuit, x, trials=args.trials, seed=args.seed)
     print(report.to_text(), end="")
     return EXIT_ACCEPT if report.wins == 0 else EXIT_REJECT
 
@@ -175,7 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="run the soundness experiment")
     add_statement(p)
-    p.add_argument("--epsilon", type=float, default=compiler.DEFAULT_EPSILON)
     p.add_argument("--strategy", choices=sorted(_STRATEGY_ALIASES), required=True)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)

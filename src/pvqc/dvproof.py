@@ -77,6 +77,8 @@ class OracleToken:
     def __post_init__(self):
         if len(self.mac_key) != KEY_LEN:
             raise ParameterError(f"oracle token requires a {KEY_LEN}-byte key")
+        if len(self.session_nonce) != 16:
+            raise ParameterError("session nonce must be 16 bytes")
 
 
 def circuit_digest(c: qsim.Circuit) -> bytes:

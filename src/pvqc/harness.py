@@ -156,28 +156,22 @@ def run_trial(adv: AdversarySpec, c, x, lam: int, cost: CostModel,
         pi_tau, y_adv = None, None   # adversary output is bottom: a loss
 
     sites: list[str] = []
-    b1 = 0
-    if pi_tau is not None:
-        ok, site = vc_verify_explain(crs, c, x, pi_tau, y_adv, ledger)
-        b1 = int(ok)
+
+    def verdict(y) -> int:
+        """One verification pass under opening y; bottom gives 0, no site."""
+        if pi_tau is None:
+            return 0
+        ok, site = vc_verify_explain(crs, c, x, pi_tau, y, ledger)
         if site is not None:
             sites.append(site)
+        return int(ok)
 
+    b1 = verdict(y_adv)
     adversary_steps = clock.now
     true_opening = vc_reveal(crs, clock)
-
-    b2 = 0
-    if pi_tau is not None:
-        ok, site = vc_verify_explain(crs, c, x, pi_tau, true_opening, ledger)
-        b2 = int(ok)
-        if site is not None:
-            sites.append(site)
-
-    y_matches = int(y_adv is not None
-                    and y_adv.sk_bytes == true_opening.sk_bytes
-                    and y_adv.r == true_opening.r)
+    b2 = verdict(true_opening)
     report = ExperimentReport(
-        b1=b1, b2=b2, c_of_x=int(c_accepts), y_matches_sk=y_matches,
+        b1=b1, b2=b2, c_of_x=int(c_accepts), y_matches_sk=int(y_adv == true_opening),
         tau=None if pi_tau is None else pi_tau.stamp.tau, steps_used=adversary_steps)
     return report, sites
 

@@ -151,28 +151,22 @@ def build_hhl(inst: HhlInstance) -> Circuit:
         phases = np.exp(1j * t * power * eigvals)
         return eigvecs @ np.diag(phases) @ eigvecs.conj().T
 
-    gates: list[Gate] = [Gate("DENSE_UNITARY", system, matrix=_prep_unitary(inst.b))]
-
     # Forward QPE: clock qubit ns+k carries phase-bit weight 2^(m-1-k).
-    for q in clock:
-        gates.append(Gate("H", (q,)))
+    qpe = [Gate("H", (q,)) for q in clock]
     for k, q in enumerate(clock):
         power = 2 ** (m - 1 - k)
-        gates.append(Gate("DENSE_UNITARY", (q,) + system,
-                          matrix=_controlled(evolution(power))))
-    gates.append(Gate("DENSE_UNITARY", clock, matrix=_qft_matrix(m).conj().T))
+        qpe.append(Gate("DENSE_UNITARY", (q,) + system,
+                        matrix=_controlled(evolution(power))))
+    qpe.append(Gate("DENSE_UNITARY", clock, matrix=_qft_matrix(m).conj().T))
+    # Inverse QPE uncomputes the clock register: the forward gates reversed,
+    # each dense matrix conjugate-transposed (H is its own inverse).
+    inverse_qpe = [g if g.matrix is None
+                   else Gate(g.kind, g.targets, matrix=g.matrix.conj().T)
+                   for g in reversed(qpe)]
 
-    gates.append(Gate("DENSE_UNITARY", clock + (ancilla,),
-                      matrix=_inversion_unitary(m, t)))
-
-    # Inverse QPE (uncompute the clock register).
-    gates.append(Gate("DENSE_UNITARY", clock, matrix=_qft_matrix(m)))
-    for k, q in reversed(list(enumerate(clock))):
-        power = 2 ** (m - 1 - k)
-        gates.append(Gate("DENSE_UNITARY", (q,) + system,
-                          matrix=_controlled(evolution(-power))))
-    for q in clock:
-        gates.append(Gate("H", (q,)))
+    gates = [Gate("DENSE_UNITARY", system, matrix=_prep_unitary(inst.b)), *qpe,
+             Gate("DENSE_UNITARY", clock + (ancilla,), matrix=_inversion_unitary(m, t)),
+             *inverse_qpe]
 
     return Circuit(n_qubits=ns + m + 1, gates=tuple(gates),
                    output_qubit=ancilla, n_inputs=0)

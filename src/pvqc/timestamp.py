@@ -24,7 +24,7 @@ from .meter import MeteredClock
 _DOMAIN = b"STAMPv1"
 _MAGIC = b"PVQL"
 _VERSION = 0x01
-_RECORD_LEN = 32 + 8 + 32
+_RECORD = struct.Struct(">32sQ32s")     # digest | u64be tau | tag
 
 
 @dataclass(frozen=True)
@@ -107,7 +107,7 @@ class Ledger:
 
     def save(self, path) -> None:
         data = _MAGIC + bytes([_VERSION]) + b"".join(
-            digest + struct.pack(">Q", tau) + tag for digest, tau, tag in self._records)
+            _RECORD.pack(*record) for record in self._records)
         write_atomic(path, data)
 
     @classmethod
@@ -118,14 +118,11 @@ class Ledger:
         if len(data) < 5 or data[:4] != _MAGIC or data[4] != _VERSION:
             raise FormatError("bad ledger header")
         body = data[5:]
-        if len(body) % _RECORD_LEN:
+        if len(body) % _RECORD.size:
             raise FormatError("truncated ledger record")
         ledger = cls(new_mac_key())
         last_tau = -1
-        for off in range(0, len(body), _RECORD_LEN):
-            digest = body[off:off + 32]
-            (tau,) = struct.unpack(">Q", body[off + 32:off + 40])
-            tag = body[off + 40:off + 72]
+        for digest, tau, tag in _RECORD.iter_unpack(body):
             if tau <= last_tau:
                 raise FormatError("ledger tau sequence not strictly increasing")
             last_tau = tau

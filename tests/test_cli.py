@@ -364,13 +364,13 @@ def test_cli_option_inventory():
         "prove": [*statement, "--crs", "--oracle", "--ledger", "--proof"],
         "reveal": ["--crs", "--opening", "--ledger"],
         "verify": [*statement, "--crs", "--proof", "--opening", "--ledger"],
-        "experiment": [*statement, "--epsilon", "--strategy", "--trials", "--seed"],
+        "experiment": [*statement, "--strategy", "--trials", "--seed"],
         "bench tlp": ["--repetitions"],
         "bench circuits": ["--repetitions"],
         "bench hhl": [],
     }
     assert _command_options(cli.build_parser()) == inventory
-    assert sum(map(len, inventory.values())) == 28
+    assert sum(map(len, inventory.values())) == 27
     with pytest.raises(SystemExit) as exc:
         cli.main(["bench", "hhl", "--repetitions", "3"])
     assert exc.value.code == cli.EXIT_ERROR

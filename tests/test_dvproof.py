@@ -143,6 +143,8 @@ def test_token_serialization_roundtrip():
         dvproof.parse_token(b"XXXX" + blob[4:])
     with pytest.raises(ParameterError):
         dvproof.OracleToken(mac_key=token.mac_key[:-1], session_nonce=token.session_nonce)
+    with pytest.raises(ParameterError):     # else it serializes to a record parse_token refuses
+        dvproof.OracleToken(mac_key=bytes(dvproof.KEY_LEN), session_nonce=b"x")
 
 
 def test_proof_serialization_roundtrip():

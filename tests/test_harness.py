@@ -96,6 +96,31 @@ def test_a4_random_tag_loses_at_claimed_bit():
     assert report.rejection_sites.get(REJECT_CLAIMED_BIT, 0) > 0
 
 
+def test_run_trial_lists_sites_in_pass_order():
+    # Sites of the b1 pass (adversary's opening) come before those of the
+    # b2 pass (true opening); a bottom output runs neither pass.
+    circuit, x = small_accepting_circuit()
+    cost = CostModel.from_circuit(circuit)
+    expected = {
+        harness.HONEST: [],
+        harness.A1_GUESS_KEY: [REJECT_COMMITMENT, REJECT_MAC_TAG],
+        harness.A2_SOLVE_THEN_FORGE: [REJECT_TIMESTAMP, REJECT_TIMESTAMP],
+        harness.A3_ALT_OPENING: [REJECT_COMMITMENT, REJECT_MAC_TAG],
+        harness.A4_RANDOM_TAG: [REJECT_COMMITMENT, REJECT_CLAIMED_BIT],
+    }
+    for strategy, sites in expected.items():
+        _, got = harness.run_trial(harness.AdversarySpec(strategy), circuit, x, 256,
+                                   cost, trial_seed=3, c_accepts=True)
+        assert got == sites, strategy
+
+    circuit, x = small_rejecting_circuit()
+    report, sites = harness.run_trial(harness.AdversarySpec(harness.HONEST), circuit,
+                                      x, 256, CostModel.from_circuit(circuit),
+                                      trial_seed=3, c_accepts=False)
+    assert (report.b1, report.b2, report.tau, report.steps_used) == (0, 0, None, 18)
+    assert sites == []
+
+
 def test_budgeted_adversaries_stay_within_budget():
     for strategy in (harness.A1_GUESS_KEY, harness.A3_ALT_OPENING,
                      harness.A4_RANDOM_TAG):
