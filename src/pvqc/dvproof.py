@@ -31,6 +31,7 @@ _PROOF_MAGIC = b"PVQP"
 _VERSION = 0x01
 
 KEY_LEN = 32    # MAC key bytes; the token record holds exactly this many
+NONCE_LEN = 16  # session nonce bytes, in the public key and the token
 
 
 @dataclass(frozen=True)
@@ -42,8 +43,8 @@ class DvPublicKey:
     def __post_init__(self):
         if len(self.circuit_digest) != 32 or len(self.input_digest) != 32:
             raise ParameterError("digests must be 32 bytes")
-        if len(self.session_nonce) != 16:
-            raise ParameterError("session nonce must be 16 bytes")
+        if len(self.session_nonce) != NONCE_LEN:
+            raise ParameterError(f"session nonce must be {NONCE_LEN} bytes")
 
 
 @dataclass(frozen=True)
@@ -77,8 +78,8 @@ class OracleToken:
     def __post_init__(self):
         if len(self.mac_key) != KEY_LEN:
             raise ParameterError(f"oracle token requires a {KEY_LEN}-byte key")
-        if len(self.session_nonce) != 16:
-            raise ParameterError("session nonce must be 16 bytes")
+        if len(self.session_nonce) != NONCE_LEN:
+            raise ParameterError(f"session nonce must be {NONCE_LEN} bytes")
 
 
 def circuit_digest(c: qsim.Circuit) -> bytes:
@@ -107,7 +108,7 @@ def keygen(lam: int, c: qsim.Circuit, x) -> tuple[DvPublicKey, DvSecretKey]:
     if len(list(x)) != c.n_inputs:
         raise ParameterError("input width mismatch")
     pk = DvPublicKey(circuit_digest=circuit_digest(c), input_digest=input_digest(x),
-                     session_nonce=secrets.token_bytes(16))
+                     session_nonce=secrets.token_bytes(NONCE_LEN))
     sk = DvSecretKey(mac_key=secrets.token_bytes(KEY_LEN))
     return pk, sk
 
@@ -153,7 +154,7 @@ def serialize_token(token: OracleToken) -> bytes:
 
 
 def parse_token(data: bytes) -> OracleToken:
-    if len(data) != 5 + KEY_LEN + 16 or data[:4] != _TOKEN_MAGIC or data[4] != _VERSION:
+    if len(data) != 5 + KEY_LEN + NONCE_LEN or data[:4] != _TOKEN_MAGIC or data[4] != _VERSION:
         raise FormatError("bad oracle token record")
     return OracleToken(mac_key=data[5:5 + KEY_LEN], session_nonce=data[5 + KEY_LEN:])
 
