@@ -30,18 +30,20 @@ HHL_SIZES = (2, 4, 8, 16)
 CIRCUIT_SEED = 1      # random_circuit seed base for the QUBITS x DEPTHS grid
 HHL_SEED = 1          # numpy seed of the HHL instances
 
-_HEADER = ("# wall-clock columns (*_ms, *_s, hash_rate) are machine-dependent; "
-           "mu and fidelity are deterministic given seeds")
+_HEADER = ("# wall-clock columns (*_ms, *_s, hash_rate) and mu, calibrated from them, are "
+           "machine-dependent; depth_estimate and fidelity are deterministic given seeds")
+
+
+def _timed(fn, *args):
+    """(fn(*args), its wall-clock seconds): the one timer of this module."""
+    start = time.perf_counter()
+    result = fn(*args)
+    return result, time.perf_counter() - start
 
 
 def _median_time(fn, repetitions: int) -> float:
     """Median wall-clock seconds of fn() over repetitions."""
-    samples = []
-    for _ in range(repetitions):
-        start = time.perf_counter()
-        fn()
-        samples.append(time.perf_counter() - start)
-    return statistics.median(samples)
+    return statistics.median(_timed(fn)[1] for _ in range(repetitions))
 
 
 def measure_hash_rate() -> float:
@@ -49,12 +51,20 @@ def measure_hash_rate() -> float:
     loop that `tlp.solve` runs: the fastest of many short samples, because
     a deadline must hold against the fastest solver, and a machine whose
     speed drifts over tens of milliseconds reads low on a long sample."""
-    best = float("inf")
-    for _ in range(HASH_SAMPLES):
-        start = time.perf_counter()
-        tlp._walk_chain(bytes(32), HASH_SAMPLE_STEPS)
-        best = min(best, time.perf_counter() - start)
+    best = min(_timed(tlp._walk_chain, bytes(32), HASH_SAMPLE_STEPS)[1]
+               for _ in range(HASH_SAMPLES))
     return HASH_SAMPLE_STEPS / best
+
+
+def _time_puzzle(mu: int, gens: int, solves: int) -> tuple[float, float, float]:
+    """Seconds of one `tlp.setup` for mu, then the medians of `gens`
+    GenPuzzle and `solves` solve timings of a 64-byte message under it."""
+    message = bytes(64)
+    (tpk, tsk), setup_s = _timed(tlp.setup, 256, mu)
+    gen_s = _median_time(lambda: tlp.gen_puzzle(message, tpk, tsk), gens)
+    puzzle = tlp.gen_puzzle(message, tpk, tsk)
+    solve_s = _median_time(lambda: tlp.solve(tpk, puzzle), solves)
+    return setup_s, gen_s, solve_s
 
 
 def report_to_text(rows: list[dict]) -> str:
@@ -68,14 +78,8 @@ def bench_tlp(repetitions: int = 5) -> list[dict]:
     """Setup/GenPuzzle/Solve timings per mu; setup amortized over the
     puzzle generations as in the batch-use model."""
     rows = []
-    message = bytes(64)
     for mu in MU_LIST:
-        start = time.perf_counter()
-        tpk, tsk = tlp.setup(256, mu)
-        setup_s = time.perf_counter() - start
-        gen_s = _median_time(lambda: tlp.gen_puzzle(message, tpk, tsk), repetitions)
-        puzzle = tlp.gen_puzzle(message, tpk, tsk)
-        solve_s = _median_time(lambda: tlp.solve(tpk, puzzle), max(1, repetitions // 2))
+        setup_s, gen_s, solve_s = _time_puzzle(mu, repetitions, max(1, repetitions // 2))
         rows.append({
             "row": "tlp", "mu": mu,
             "solve_ms": round(solve_s * 1e3, 4),
@@ -105,20 +109,14 @@ def bench_circuits(trials: int = 3) -> list[dict]:
             t_s = _median_time(lambda: accept_prob(circuit, x), trials)
             t_ms = t_s * 1e3
             mu = calibrate_cell(t_ms, DEFAULT_EPSILON, hash_rate)
-            row = {
+            _, gen_s, solve_s = _time_puzzle(mu, 1, 1)
+            rows.append({
                 "row": "circuit", "qubits": n, "depth": depth,
                 "t_ms": round(t_ms, 4), "mu": mu,
                 "hash_rate": round(hash_rate, 1),
-            }
-            tpk, tsk = tlp.setup(256, mu)
-            puzzle = tlp.gen_puzzle(bytes(64), tpk, tsk)
-            start = time.perf_counter()
-            tlp.solve(tpk, puzzle)
-            row["solve_ms"] = round((time.perf_counter() - start) * 1e3, 4)
-            start = time.perf_counter()
-            tlp.gen_puzzle(bytes(64), tpk, tsk)
-            row["genpuzzle_ms"] = round((time.perf_counter() - start) * 1e3, 4)
-            rows.append(row)
+                "solve_ms": round(solve_s * 1e3, 4),
+                "genpuzzle_ms": round(gen_s * 1e3, 4),
+            })
     return rows
 
 
@@ -137,9 +135,7 @@ def bench_hhl() -> list[dict]:
         b = b / np.linalg.norm(b)
         inst = qsim.HhlInstance(a=a, b=b)
         circuit = qsim.build_hhl(inst)
-        start = time.perf_counter()
-        fidelity = qsim.hhl_fidelity(inst)
-        elapsed = time.perf_counter() - start
+        fidelity, elapsed = _timed(qsim.hhl_fidelity, inst)
         rows.append({
             "row": "hhl", "n": n,
             "depth_estimate": qsim.circuit_depth(circuit),

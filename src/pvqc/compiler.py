@@ -27,7 +27,7 @@ from .commit import Commitment, Opening
 from .dvproof import DvProof, DvPublicKey, DvSecretKey, OracleToken
 from .errors import FormatError, ParameterError
 from .meter import MeteredClock
-from .timestamp import Ledger, Stamp
+from .timestamp import STAMP, Ledger, Stamp
 from .tlp import Puzzle, TlpPublicParams
 
 _MAGIC = b"PVQC"
@@ -149,11 +149,7 @@ def vc_verify_explain(crs: Crs, c: qsim.Circuit, x, pi_tau: TimestampedProof,
     """
     if pi_tau.stamp.tau >= crs.tpk.mu:     # crs.delta, read without the property call
         return False, REJECT_TIMESTAMP
-    try:
-        if (dvproof.circuit_digest(c) != crs.pk.circuit_digest
-                or dvproof.input_digest(x) != crs.pk.input_digest):
-            return False, REJECT_STATEMENT
-    except ParameterError:          # an input entry that is not a bit
+    if not dvproof.binds(crs.pk, c, x):
         return False, REJECT_STATEMENT
     if not ledger.verify(dvproof.serialize_proof(pi_tau.proof), pi_tau.stamp):
         return False, REJECT_STAMP
@@ -199,13 +195,13 @@ def parse_crs(data: bytes) -> Crs:
 
 def serialize_timestamped_proof(pi_tau: TimestampedProof) -> bytes:
     return (dvproof.serialize_proof(pi_tau.proof)
-            + struct.pack(">Q", pi_tau.stamp.tau) + pi_tau.stamp.auth_tag)
+            + STAMP.pack(pi_tau.stamp.tau, pi_tau.stamp.auth_tag))
 
 
 def parse_timestamped_proof(data: bytes) -> TimestampedProof:
-    proof = dvproof.parse_proof(data[:-40])
-    (tau,) = struct.unpack(">Q", data[-40:-32])
-    return TimestampedProof(proof=proof, stamp=Stamp(tau=tau, auth_tag=data[-32:]))
+    proof = dvproof.parse_proof(data[:-STAMP.size])
+    tau, tag = STAMP.unpack(data[-STAMP.size:])
+    return TimestampedProof(proof=proof, stamp=Stamp(tau=tau, auth_tag=tag))
 
 
 def serialize_opening(y: Opening) -> bytes:

@@ -97,6 +97,15 @@ def input_digest(x) -> bytes:
     return hashlib.sha256(_INPUT_DOMAIN + bytes(map(int, qsim.input_bits(x)))).digest()
 
 
+def binds(pk: DvPublicKey, c: qsim.Circuit, x) -> bool:
+    """Whether pk is the key of statement (C, x): both digests match.
+    False for an input entry that is not a bit."""
+    try:
+        return circuit_digest(c) == pk.circuit_digest and input_digest(x) == pk.input_digest
+    except ParameterError:
+        return False
+
+
 def keygen(lam: int, c: qsim.Circuit, x) -> tuple[DvPublicKey, DvSecretKey]:
     """Fresh per-session key pair bound to the statement (C, x).
 
@@ -128,7 +137,7 @@ def prove_oracle(token: OracleToken, pk: DvPublicKey, c: qsim.Circuit, x) -> DvP
     a tagged proof only when C accepts; refuses otherwise."""
     if token.session_nonce != pk.session_nonce:
         raise ParameterError("oracle token does not match this session")
-    if circuit_digest(c) != pk.circuit_digest or input_digest(x) != pk.input_digest:
+    if not binds(pk, c, x):
         raise ParameterError("statement does not match the session key")
     if qsim.accept_prob(c, x) < qsim.ACCEPT_THRESHOLD:
         raise ProofRefused("circuit does not accept: honest prover refuses")

@@ -5,10 +5,6 @@ class ParameterError(ValueError):
     """A precondition on an operation's parameters was violated."""
 
 
-class PuzzleIntegrityError(Exception):
-    """Puzzle tag did not verify: corrupt puzzle or wrong parameters."""
-
-
 class ProofRefused(Exception):
     """The prover oracle refuses to prove a non-accepting statement."""
 

@@ -24,7 +24,8 @@ from .meter import MeteredClock
 _DOMAIN = b"STAMPv1"
 _MAGIC = b"PVQL"
 _VERSION = 0x01
-_RECORD = struct.Struct(">32sQ32s")     # digest | u64be tau | tag
+STAMP = struct.Struct(">Q32s")          # u64be tau | tag
+_RECORD = struct.Struct(">32s" + STAMP.format[1:])     # digest | stamp
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ import secrets
 import struct
 from dataclasses import dataclass
 
-from .errors import FormatError, ParameterError, PuzzleIntegrityError
+from .errors import FormatError, ParameterError
 
 _CHAIN_DOMAIN = b"TLPCHAINv1"
 _KEY_DOMAIN = b"TLPKEYv1"
@@ -110,11 +110,11 @@ def _subkey(key: bytes, nonce: bytes) -> bytes:
     return hashlib.sha256(_SUB_DOMAIN + key + nonce).digest()
 
 
-def _keystream(subkey: bytes, length: int) -> bytes:
-    out = bytearray()
-    for block in range((length + 31) // 32):
-        out += hashlib.sha256(_KS_DOMAIN + subkey + struct.pack(">Q", block)).digest()
-    return bytes(out[:length])
+def _crypt(subkey: bytes, data: bytes) -> bytes:
+    """data XOR the subkey's keystream: encrypts and decrypts alike."""
+    stream = b"".join(hashlib.sha256(_KS_DOMAIN + subkey + struct.pack(">Q", block)).digest()
+                      for block in range((len(data) + 31) // 32))
+    return bytes(a ^ b for a, b in zip(data, stream))
 
 
 def _tag(subkey: bytes, nonce: bytes, ciphertext: bytes) -> bytes:
@@ -144,7 +144,7 @@ def gen_puzzle(m: bytes, tpk: TlpPublicParams, tsk: TlpSecretParams) -> Puzzle:
         raise ParameterError("message too long")
     nonce = secrets.token_bytes(16)
     sub = _subkey(tsk.key, nonce)
-    ciphertext = bytes(a ^ b for a, b in zip(m, _keystream(sub, len(m))))
+    ciphertext = _crypt(sub, m)
     return Puzzle(nonce=nonce, ciphertext=ciphertext, tag=_tag(sub, nonce, ciphertext))
 
 
@@ -153,8 +153,8 @@ def solve(tpk: TlpPublicParams, o: Puzzle, meter=None, progress=None) -> bytes:
     endpoint = _walk_chain(tpk.seed, tpk.mu, meter=meter, progress=progress)
     sub = _subkey(_derive_key(endpoint), o.nonce)
     if not hmac.compare_digest(_tag(sub, o.nonce, o.ciphertext), o.tag):
-        raise PuzzleIntegrityError("corrupt puzzle or wrong parameters")
-    return bytes(a ^ b for a, b in zip(o.ciphertext, _keystream(sub, len(o.ciphertext))))
+        raise FormatError("corrupt puzzle or wrong parameters")
+    return _crypt(sub, o.ciphertext)
 
 
 def calibrate_mu(t_seconds: float, epsilon: float, hash_rate: float) -> int:

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from pvqc import bench, cli, commit, compiler, harness, qsim, timestamp, tlp
+from pvqc import bench, cli, commit, compiler, dvproof, harness, qsim, timestamp, tlp
 from pvqc.commit import Opening
 from pvqc.fixtures import (accepting_corpus, small_accepting_circuit,
                            small_rejecting_circuit)
@@ -194,6 +194,72 @@ def test_verify_empty_committed_key_rejects(workspace, capsys):
         compiler.serialize_opening(Opening(sk_bytes=b"", r=r)))
     assert _verify(workspace) == cli.EXIT_REJECT
     assert "site=mac_tag" in capsys.readouterr().out
+
+
+# Known breaks of the deadline claim on the public path.  Each test states
+# the claim and fails at its last assert until the ROADMAP item it names
+# lands; that change removes the marker.
+
+def _known_break(item, what):
+    return pytest.mark.xfail(raises=AssertionError, reason=f"ROADMAP item {item}: {what}")
+
+
+def _stamp_forgery(paths, mac_key):
+    """Stamp a proof forged under `mac_key` on the ledger at `paths`,
+    through the CLI's ledger, and write it as the proof file; its tau."""
+    crs = compiler.parse_crs(paths["crs"].read_bytes())
+    ledger, clock = cli._open_ledger(paths["ledger"])
+    pi_tau = compiler.stamp_proof(
+        dvproof.forge_proof(dvproof.DvSecretKey(mac_key), crs.pk, 1), ledger, clock)
+    ledger.save(paths["ledger"])
+    paths["proof"].write_bytes(compiler.serialize_timestamped_proof(pi_tau))
+    return pi_tau.stamp.tau
+
+
+@_known_break(1, "break B, a ledger serves one session")
+def test_two_honest_sessions_share_one_ledger(tmp_path, capsys):
+    first, second = _make_workspace(tmp_path / "first"), _make_workspace(tmp_path / "second")
+    second["ledger"] = first["ledger"]
+    _run_pipeline(first)
+    assert _verify(first) == cli.EXIT_ACCEPT
+    _run_pipeline(second)
+    capsys.readouterr()
+    _verify(second)
+    assert capsys.readouterr().out == "accept\n"
+
+
+@_known_break(3, "break C, the ledger's time moves only when a party reports work")
+def test_key_revealed_off_the_ledger_forges_nothing(workspace, tmp_path):
+    assert _setup(workspace) == cli.EXIT_ACCEPT
+    throwaway = dict(workspace, ledger=tmp_path / "throwaway.bin")
+    assert _reveal(throwaway) == cli.EXIT_ACCEPT
+    opening = compiler.parse_opening_record(workspace["opening"].read_bytes())
+    assert _stamp_forgery(workspace, opening.sk_bytes) == 0
+    assert compiler.parse_crs(workspace["crs"].read_bytes()).delta == 78
+    assert _verify(workspace) == cli.EXIT_REJECT
+
+
+@_known_break(2, "break D, the oracle token holds the verification key")
+def test_oracle_token_forges_nothing(workspace):
+    circuit, x = small_rejecting_circuit()
+    workspace["circuit"].write_text(qsim.circuit_to_text(circuit))
+    workspace["input"].write_text("".join(str(b) for b in x))
+    assert _setup(workspace) == cli.EXIT_ACCEPT
+    assert _prove(workspace) == cli.EXIT_ERROR
+    token = dvproof.parse_token(workspace["oracle"].read_bytes())
+    assert _stamp_forgery(workspace, token.mac_key) == 0
+    assert _reveal(workspace) == cli.EXIT_ACCEPT
+    assert _verify(workspace) == cli.EXIT_REJECT
+
+
+@_known_break(1, "step 1, a save replaces the ledger another handle saved")
+def test_two_ledger_handles_keep_both_records(tmp_path):
+    path = tmp_path / "ledger.bin"
+    handles = [cli._open_ledger(path) for _ in range(2)]
+    for i, (ledger, clock) in enumerate(handles):
+        ledger.stamp(bytes([i]), clock)
+        ledger.save(path)
+    assert len(timestamp.Ledger.load(path).records) == 2
 
 
 def test_missing_file_is_error(workspace):

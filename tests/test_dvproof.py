@@ -125,11 +125,16 @@ def test_circuit_digest_frozen():
 
 @pytest.mark.parametrize("x", [[0, 0, 256], [0, 0, -1], [0, 0, 2], [0, 0, 0.5]])
 def test_input_digest_rejects_non_bits(x):
-    c, _ = small_accepting_circuit()
+    c, bits = small_accepting_circuit()
     with pytest.raises(ParameterError):
         dvproof.input_digest(x)
     with pytest.raises(ParameterError):
         dvproof.keygen(256, c, x)
+    # The statement check says no rather than raising; the oracle refuses.
+    pk, sk = dvproof.keygen(256, c, bits)
+    assert dvproof.binds(pk, c, bits) and not dvproof.binds(pk, c, x)
+    with pytest.raises(ParameterError, match="statement does not match"):
+        dvproof.prove_oracle(dvproof.make_token(sk, pk), pk, c, x)
 
 
 def test_token_serialization_roundtrip():

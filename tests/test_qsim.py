@@ -148,29 +148,6 @@ def test_gate_matrix_closed_forms(kind, angle):
     assert np.abs(got - _CLOSED_FORMS[kind](angle)).max() <= 1e-12
 
 
-def _generic_apply(state, g, n):
-    mat = gate_matrix(g)
-    k = len(g.targets)
-    tensor = np.moveaxis(state.reshape([2] * n), g.targets, range(k))
-    block = mat @ tensor.reshape(2**k, -1)
-    return np.moveaxis(block.reshape([2] * n), range(k), g.targets).reshape(-1)
-
-
-@pytest.mark.parametrize("kind,params", [
-    ("Z", ()), ("S", ()), ("T", ()), ("RZ", (0.7,)), ("PHASE", (1.3,)),
-    ("CZ", ()), ("CPHASE", (0.9,)),
-])
-def test_diagonal_fast_path_matches_generic(kind, params):
-    n = 5
-    arity = 2 if kind in ("CZ", "CPHASE") else 1
-    targets_list = [(0,), (3,)] if arity == 1 else [(0, 3), (3, 0), (4, 1)]
-    for i, targets in enumerate(targets_list):
-        g = Gate(kind, targets, params=params)
-        state = _rand_state(n, seed=i)
-        assert np.allclose(apply_gate(state, g, n), _generic_apply(state, g, n),
-                           atol=1e-12)
-
-
 # ------------------------------------------------ fast path vs reference
 
 @st.composite
@@ -222,6 +199,27 @@ def test_run_matches_reference_fold(case):
     loaded = tuple(Gate("X", (q,)) for q, b in enumerate(bits) if b) + c.gates
     expected = marginal_one_prob(_reference_run(c, loaded), c.output_qubit, c.n_qubits)
     assert abs(qsim.accept_prob(c, bits) - expected) <= 1e-12
+
+
+@pytest.mark.parametrize("kind,params", [
+    ("Z", ()), ("S", ()), ("T", ()), ("RZ", (0.7,)), ("PHASE", (1.3,)),
+    ("CZ", ()), ("CPHASE", (0.9,)),
+])
+def test_diagonal_fast_path_matches_generic(kind, params):
+    # `run` applies the diagonal gate with its in-place kernels: a one-qubit
+    # gate left pending to the end takes `_apply_1q`'s diagonal branch, a
+    # two-qubit one `_apply_2q`'s |11> slice.  The H layer, flushed by the
+    # CZ chain, gives every amplitude the same magnitude, so a kernel that
+    # scales a wrong slice or by a wrong entry moves some of them.
+    n = 5
+    prepare = (*(Gate("H", (q,)) for q in range(n)),
+               *(Gate("CZ", (q, q + 1)) for q in range(n - 1)))
+    arity = 2 if kind in ("CZ", "CPHASE") else 1
+    targets_list = [(0,), (3,), (4,)] if arity == 1 else [(0, 3), (3, 0), (4, 1)]
+    for targets in targets_list:
+        c = qsim.Circuit(n_qubits=n, gates=(*prepare, Gate(kind, targets, params=params)),
+                         output_qubit=0)
+        assert np.abs(qsim.run(c) - _reference_run(c, c.gates)).max() <= 1e-12
 
 
 def test_dense_unitary_rejects_non_unitary():

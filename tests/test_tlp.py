@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pvqc import bench, tlp
-from pvqc.errors import FormatError, ParameterError, PuzzleIntegrityError
+from pvqc.errors import FormatError, ParameterError
 from pvqc.meter import MeteredClock
 
 # Digests computed with an independent SHA-256 oracle before the build.
@@ -77,7 +77,7 @@ def test_tamper_rejected(field):
     value = bytearray(getattr(puzzle, field))
     value[0] ^= 0x01
     bad = tlp.Puzzle(**{**puzzle.__dict__, field: bytes(value)})
-    with pytest.raises(PuzzleIntegrityError):
+    with pytest.raises(FormatError):
         tlp.solve(tpk, bad)
 
 
@@ -85,7 +85,7 @@ def test_solve_wrong_seed_rejected():
     tpk, tsk = tlp.setup(256, 3, seed=bytes(32))
     puzzle = tlp.gen_puzzle(b"m", tpk, tsk)
     other = tlp.TlpPublicParams(seed=b"\x01" * 32, mu=3)
-    with pytest.raises(PuzzleIntegrityError):
+    with pytest.raises(FormatError):
         tlp.solve(other, puzzle)
 
 
