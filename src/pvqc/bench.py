@@ -19,6 +19,7 @@ import time
 
 from . import qsim, tlp
 from .compiler import DEFAULT_EPSILON
+from .errors import ParameterError
 
 CALIBRATION_UNIT_MS = 0.25
 HASH_SAMPLE_STEPS = 2000
@@ -74,9 +75,11 @@ def report_to_text(rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def bench_tlp(repetitions: int = 5) -> list[dict]:
+def bench_tlp(repetitions: int) -> list[dict]:
     """Setup/GenPuzzle/Solve timings per mu; setup amortized over the
     puzzle generations as in the batch-use model."""
+    if repetitions < 1:
+        raise ParameterError("repetitions must be >= 1")
     rows = []
     for mu in MU_LIST:
         setup_s, gen_s, solve_s = _time_puzzle(mu, repetitions, max(1, repetitions // 2))
@@ -96,9 +99,11 @@ def calibrate_cell(t_ms: float, epsilon: float, hash_rate: float) -> int:
                             hash_rate * CALIBRATION_UNIT_MS / 1e3)
 
 
-def bench_circuits(trials: int = 3) -> list[dict]:
+def bench_circuits(repetitions: int) -> list[dict]:
     """Median simulation time per (qubits, depth) cell, the mu the
     calibration chooses, and the solve and GenPuzzle times for that mu."""
+    if repetitions < 1:
+        raise ParameterError("repetitions must be >= 1")
     hash_rate = measure_hash_rate()
     accept_prob = qsim.accept_prob      # loads the simulator before any timing
     rows = []
@@ -106,7 +111,7 @@ def bench_circuits(trials: int = 3) -> list[dict]:
         for depth in DEPTHS:
             circuit = qsim.random_circuit(n, depth, CIRCUIT_SEED + 1000 * n + depth)
             x = [0] * n
-            t_s = _median_time(lambda: accept_prob(circuit, x), trials)
+            t_s = _median_time(lambda: accept_prob(circuit, x), repetitions)
             t_ms = t_s * 1e3
             mu = calibrate_cell(t_ms, DEFAULT_EPSILON, hash_rate)
             _, gen_s, solve_s = _time_puzzle(mu, 1, 1)

@@ -114,7 +114,7 @@ def _cmd_bench(args) -> int:
     if args.suite == "tlp":
         rows = bench.bench_tlp(repetitions=args.repetitions)
     elif args.suite == "circuits":
-        rows = bench.bench_circuits(trials=args.repetitions)
+        rows = bench.bench_circuits(repetitions=args.repetitions)
     else:
         rows = bench.bench_hhl()
     print(bench.report_to_text(rows), end="")

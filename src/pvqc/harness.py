@@ -1,6 +1,6 @@
 """Soundness-experiment harness with built-in adversary strategies.
 
-The experiment runs under a metered logical clock: the adversary produces
+The experiment runs under a metered logical clock: the prover produces
 a timestamped proof and a claimed opening, the first verification happens
 pre-reveal, the reveal charges exactly delta steps, and the second
 verification replays the same proof against the true opening.  The
@@ -13,19 +13,23 @@ the puzzle first stamps at tau >= delta and is rejected.  Only sequential
 work is metered: adversaries may do arbitrary non-chain work (guessing
 keys, tagging proofs) at zero charge, since the security being exercised
 is depth-bounded, not work-bounded.
+
+The honest prover charges the cost that delta was set from.  Adversaries
+get the CRS, the ledger, the clock and their coins, never the oracle
+token, which only the honest branch of run_trial holds.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import dvproof, qsim
 from .commit import Opening
 from .compiler import (DEFAULT_LAMBDA, CostModel, Crs, TimestampedProof,
                        stamp_proof, vc_prove, vc_reveal, vc_setup,
                        vc_verify_explain)
-from .dvproof import DvSecretKey, OracleToken
+from .dvproof import DvSecretKey
 from .errors import ParameterError, ProofRefused
 from .meter import MeteredClock
 from .timestamp import Ledger, new_mac_key
@@ -69,7 +73,7 @@ class AggregateReport:
     seed: int
     mean_tau: float
     mean_steps: float
-    rejection_sites: dict[str, int] = field(default_factory=dict)
+    rejection_sites: dict[str, int]
 
     def to_text(self) -> str:
         sites = ",".join(f"{k}:{v}" for k, v in sorted(self.rejection_sites.items()))
@@ -85,18 +89,8 @@ class AggregateReport:
         return "\n".join(lines) + "\n"
 
 
-def strategy_honest(crs: Crs, c, x, token: OracleToken, ledger: Ledger,
-                    clock: MeteredClock, rng: random.Random
-                    ) -> tuple[TimestampedProof, Opening]:
-    """Honest prover: proves and stamps before the deadline, then solves
-    the puzzle itself to present the true opening."""
-    pi_tau = vc_prove(crs, c, x, token, ledger, clock)
-    return pi_tau, vc_reveal(crs, clock)
-
-
-def strategy_a1_guess_key(crs: Crs, c, x, token, ledger: Ledger,
-                          clock: MeteredClock, rng: random.Random
-                          ) -> tuple[TimestampedProof, Opening]:
+def strategy_a1_guess_key(crs: Crs, ledger: Ledger, clock: MeteredClock,
+                          rng: random.Random) -> tuple[TimestampedProof, Opening]:
     """Tag a proof under a uniformly guessed key and present the guessed
     opening.  Zero sequential charges.  Also serves A3: the guessed
     opening fails the commitment check, the true one the tag check."""
@@ -106,9 +100,8 @@ def strategy_a1_guess_key(crs: Crs, c, x, token, ledger: Ledger,
     return pi_tau, Opening(sk_bytes=guess, r=rng.randbytes(32))
 
 
-def strategy_a2_solve_then_forge(crs: Crs, c, x, token, ledger: Ledger,
-                                 clock: MeteredClock, rng: random.Random
-                                 ) -> tuple[TimestampedProof, Opening]:
+def strategy_a2_solve_then_forge(crs: Crs, ledger: Ledger, clock: MeteredClock,
+                                 rng: random.Random) -> tuple[TimestampedProof, Opening]:
     """Solve the puzzle first, then forge under the recovered true key.
 
     Solving charges delta sequential steps to the clock that stamps the
@@ -120,9 +113,8 @@ def strategy_a2_solve_then_forge(crs: Crs, c, x, token, ledger: Ledger,
     return stamp_proof(proof, ledger, clock), opening
 
 
-def strategy_a4_random_tag(crs: Crs, c, x, token, ledger: Ledger,
-                           clock: MeteredClock, rng: random.Random
-                           ) -> tuple[TimestampedProof, Opening]:
+def strategy_a4_random_tag(crs: Crs, ledger: Ledger, clock: MeteredClock,
+                           rng: random.Random) -> tuple[TimestampedProof, Opening]:
     """Stamp a proof with a random tag and claimed bit 0 plus a random
     opening; exercises the claimed-bit rejection site under the true key."""
     proof = dvproof.DvProof(claimed_bit=0, tag=rng.randbytes(32))
@@ -130,14 +122,13 @@ def strategy_a4_random_tag(crs: Crs, c, x, token, ledger: Ledger,
     return pi_tau, Opening(sk_bytes=rng.randbytes(32), r=rng.randbytes(32))
 
 
-_STRATEGY_FNS = {
-    HONEST: strategy_honest,
+_ADVERSARIES = {
     A1_GUESS_KEY: strategy_a1_guess_key,
     A2_SOLVE_THEN_FORGE: strategy_a2_solve_then_forge,
     A3_ALT_OPENING: strategy_a1_guess_key,
     A4_RANDOM_TAG: strategy_a4_random_tag,
 }
-STRATEGIES = tuple(_STRATEGY_FNS)
+STRATEGIES = (HONEST, *_ADVERSARIES)
 
 
 def run_trial(adv: AdversarySpec, c, x, lam: int, cost: CostModel,
@@ -149,11 +140,15 @@ def run_trial(adv: AdversarySpec, c, x, lam: int, cost: CostModel,
     crs, token = vc_setup(lam, c, x, cost)
     rng = random.Random(trial_seed)
 
-    fn = _STRATEGY_FNS[adv.strategy]
     try:
-        pi_tau, y_adv = fn(crs, c, x, token, ledger, clock, rng)
+        if adv.strategy == HONEST:
+            # Proves at the cost delta was set from, then solves for the true opening.
+            pi_tau = vc_prove(crs, c, x, token, ledger, clock, cost)
+            y_adv = vc_reveal(crs, clock)
+        else:
+            pi_tau, y_adv = _ADVERSARIES[adv.strategy](crs, ledger, clock, rng)
     except ProofRefused:
-        pi_tau, y_adv = None, None   # adversary output is bottom: a loss
+        pi_tau, y_adv = None, None   # prover output is bottom: a loss
 
     sites: list[str] = []
 
@@ -176,13 +171,11 @@ def run_trial(adv: AdversarySpec, c, x, lam: int, cost: CostModel,
     return report, sites
 
 
-def run_experiment(adv: AdversarySpec, c, x, lam: int = DEFAULT_LAMBDA,
-                   cost: CostModel | None = None, trials: int = 1,
+def run_experiment(adv: AdversarySpec, c, x, trials: int = 1,
                    seed: int = 0) -> AggregateReport:
     if trials < 1:
         raise ParameterError("trials must be >= 1")
-    if cost is None:
-        cost = CostModel.from_circuit(c)
+    cost = CostModel.from_circuit(c)
     c_accepts = qsim.accept_prob(c, x) >= qsim.ACCEPT_THRESHOLD
 
     wins = 0
@@ -190,7 +183,7 @@ def run_experiment(adv: AdversarySpec, c, x, lam: int = DEFAULT_LAMBDA,
     steps: list[int] = []
     site_counts: dict[str, int] = {}
     for trial in range(trials):
-        report, sites = run_trial(adv, c, x, lam, cost,
+        report, sites = run_trial(adv, c, x, DEFAULT_LAMBDA, cost,
                                   trial_seed=seed * 1_000_003 + trial,
                                   c_accepts=c_accepts)
         wins += report.win

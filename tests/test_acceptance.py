@@ -55,13 +55,12 @@ def test_criterion_2_delta_soundness_suite(capsys):
         harness.A4_RANDOM_TAG: compiler.REJECT_CLAIMED_BIT,
     }
     circuit, x = fixtures.small_accepting_circuit()
-    cost = CostModel.from_circuit(circuit)
     start = time.perf_counter()
     ok = True
     for strategy, site in designated.items():
         report = harness.run_experiment(
-            harness.AdversarySpec(strategy=strategy), circuit, x, lam=256,
-            cost=cost, trials=10**4, seed=20240811)
+            harness.AdversarySpec(strategy=strategy), circuit, x,
+            trials=10**4, seed=20240811)
         ok &= report.wins == 0
         ok &= report.rejection_sites.get(site, 0) > 0
     elapsed = time.perf_counter() - start

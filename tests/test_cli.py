@@ -364,7 +364,7 @@ def test_experiment_command(workspace, capsys):
     circuit, x = small_accepting_circuit()
     report = harness.run_experiment(
         harness.AdversarySpec(strategy=harness.A1_GUESS_KEY), circuit, x,
-        cost=compiler.CostModel.from_circuit(circuit), trials=5, seed=1)
+        trials=5, seed=1)
     assert report.wins == 0
     assert capsys.readouterr() == (report.to_text(), "")
 
@@ -398,6 +398,18 @@ def test_bench_circuits_command(capsys, monkeypatch):
     assert len(rows) == 1
     assert rows[0].startswith("row=circuit qubits=5 depth=10 ")
     assert "solve_ms=" in rows[0]
+
+
+@pytest.mark.parametrize("suite", ["tlp", "circuits"])
+@pytest.mark.parametrize("repetitions", ["0", "-1"])
+def test_bench_refuses_fewer_than_one_repetition(capsys, monkeypatch, suite,
+                                                 repetitions):
+    def walk(*args, **kwargs):
+        raise AssertionError("the chain walk started")
+
+    monkeypatch.setattr(tlp, "_walk_chain", walk)
+    assert cli.main(["bench", suite, "--repetitions", repetitions]) == cli.EXIT_ERROR
+    assert capsys.readouterr() == ("", "error: repetitions must be >= 1\n")
 
 
 def test_bench_hhl_command(capsys, monkeypatch):
