@@ -9,6 +9,7 @@ comparison of two source trees.
         the tree, BLAS on one thread), alternating which goes first, and
         prints median, min and n of the per-round values for both trees,
         plus their quartiles q1 and q3 (inclusive method) when n >= 2.
+        Stops if a round's `pvqc_file`, the pvqc it imported, is not in its tree.
 
 Per-kind rows: a two-qubit kind is timed alone, 200 gates on random pairs.
 A one-qubit kind is timed as 200 (gate, CZ) pairs minus 200 CZs alone: the
@@ -16,7 +17,7 @@ CZ touches the gate's qubit, so each gate is applied on its own, not fused.
 
 Corpus rows: `dvproof.circuit_digest` of every statement of
 `fixtures.accepting_corpus()`, and `compiler.vc_verify_explain` of every
-statement, on sessions set up, proved and revealed before timing starts.
+statement on the parsed records of the CLI sessions below.
 
 Parse rows: `corpus_parse_ms` is `qsim.circuit_from_text` of the 20 corpus
 texts in the measuring process, after earlier parses, and
@@ -59,22 +60,6 @@ def _best_ms(fn, reps: int) -> float:
         fn()
         best = min(best, time.perf_counter() - start)
     return best * 1e3
-
-
-def _corpus_sessions(corpus) -> list[tuple]:
-    """vc_verify_explain arguments of one honest session per statement."""
-    from pvqc import compiler
-    from pvqc.meter import MeteredClock
-    from pvqc.timestamp import Ledger, new_mac_key
-
-    sessions = []
-    for c, x in corpus:
-        cost = compiler.CostModel.from_circuit(c)
-        crs, token = compiler.vc_setup(compiler.DEFAULT_LAMBDA, c, x, cost)
-        ledger, clock = Ledger(new_mac_key()), MeteredClock()
-        pi_tau = compiler.vc_prove(crs, c, x, token, ledger, clock, cost)
-        sessions.append((crs, c, x, pi_tau, compiler.vc_reveal(crs, clock), ledger))
-    return sessions
 
 
 def _cli_verify_argvs(corpus, root: Path) -> list[list[str]]:
@@ -140,27 +125,39 @@ def _parse_rows(corpus) -> dict[str, float]:
     return out
 
 
-def _cli_rows(corpus) -> dict[str, float]:
+def _corpus_verify_ms(corpus, argvs) -> float:
+    """`vc_verify_explain` over the records of the CLI sessions `argvs`,
+    which accepted them in `pvqc verify`."""
+    from pvqc import compiler
+    from pvqc.timestamp import Ledger
+
+    sessions = []
+    for (c, x), argv in zip(corpus, argvs):
+        f = dict(zip(argv[1::2], argv[2::2]))
+        sessions.append((compiler.parse_crs(Path(f["--crs"]).read_bytes()), c, x,
+                         compiler.parse_timestamped_proof(Path(f["--proof"]).read_bytes()),
+                         compiler.parse_opening_record(Path(f["--opening"]).read_bytes()),
+                         Ledger.load(f["--ledger"])))
+    return _best_ms(lambda: [compiler.vc_verify_explain(*s) for s in sessions], 15)
+
+
+def _cli_rows(argvs) -> dict[str, float]:
     from pvqc import cli
 
-    out = {}
-    with tempfile.TemporaryDirectory() as tmp:
-        argvs = _cli_verify_argvs(corpus, Path(tmp))
+    def verify_all():
+        with contextlib.redirect_stdout(io.StringIO()):
+            return [cli.main(argv) for argv in argvs]
 
-        def verify_all():
-            with contextlib.redirect_stdout(io.StringIO()):
-                return [cli.main(argv) for argv in argvs]
-
-        out["corpus_cli_verify_ms"] = _best_ms(verify_all, 15)
-        out["cold_cli_verify_ms"] = _best_ms(
-            lambda: _fresh("-m", "pvqc.cli", *argvs[COLD_STATEMENT]), COLD_REPS)
+    out = {"corpus_cli_verify_ms": _best_ms(verify_all, 15),
+           "cold_cli_verify_ms": _best_ms(
+               lambda: _fresh("-m", "pvqc.cli", *argvs[COLD_STATEMENT]), COLD_REPS)}
     code = "import time; t = time.perf_counter(); import pvqc; print(time.perf_counter() - t)"
     out["import_pvqc_ms"] = min(float(_fresh("-c", code)) for _ in range(COLD_REPS)) * 1e3
     return out
 
 
 def measure() -> dict[str, float]:
-    from pvqc import compiler, dvproof, fixtures, qsim
+    from pvqc import dvproof, fixtures, qsim
     from pvqc.qsim.circuit import DOUBLE_GATES, PARAM_GATES, SINGLE_GATES
 
     def gate(kind, targets):
@@ -189,13 +186,11 @@ def measure() -> dict[str, float]:
         lambda: [qsim.accept_prob(c, x) for c, x in corpus], 5)
     out["corpus_circuit_digest_ms"] = _best_ms(
         lambda: [dvproof.circuit_digest(c) for c, _ in corpus], 15)
-    sessions = _corpus_sessions(corpus)
-    if not all(compiler.vc_verify_explain(*s)[0] for s in sessions):
-        raise RuntimeError("an honest corpus session did not verify")
-    out["corpus_verify_ms"] = _best_ms(
-        lambda: [compiler.vc_verify_explain(*s) for s in sessions], 15)
-    out.update(_parse_rows(corpus))
-    out.update(_cli_rows(corpus))
+    with tempfile.TemporaryDirectory() as tmp:
+        argvs = _cli_verify_argvs(corpus, Path(tmp))
+        out["corpus_verify_ms"] = _corpus_verify_ms(corpus, argvs)
+        out.update(_parse_rows(corpus))
+        out.update(_cli_rows(argvs))
     big = qsim.random_circuit(15, 300, 15301)
     out["random_circuit_15q_300_run_ms"] = _best_ms(lambda: qsim.run(big), 3)
     return out
@@ -209,7 +204,12 @@ def compare(trees: list[str], rounds: int) -> dict:
                        OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
             line = subprocess.run([sys.executable, __file__], env=env, check=True,
                                   capture_output=True, text=True).stdout
-            for name, value in json.loads(line).items():
+            rows = json.loads(line)
+            where = rows.pop("pvqc_file")
+            print(f"round {r}: {tree}: {where}", file=sys.stderr)
+            if Path(tree).resolve() not in Path(where).resolve().parents:
+                sys.exit(f"pvqc was imported from {where}, not {tree}")
+            for name, value in rows.items():
                 samples[tree].setdefault(name, []).append(value)
     return {tree: {name: _summary(v) for name, v in rows.items()}
             for tree, rows in samples.items()}
@@ -230,7 +230,8 @@ def main() -> None:
     if args.trees:
         print(json.dumps(compare(args.trees, args.rounds), indent=1))
     else:
-        print(json.dumps(measure()))
+        import pvqc
+        print(json.dumps({"pvqc_file": pvqc.__file__, **measure()}))
 
 
 if __name__ == "__main__":

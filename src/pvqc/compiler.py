@@ -57,9 +57,9 @@ class CostModel:
     epsilon: float = DEFAULT_EPSILON
 
     def __post_init__(self):
-        # Chained comparisons, so nan and inf fail both checks.
-        if not 1 <= self.t_units < math.inf:
-            raise ParameterError("t_units must be finite and >= 1")
+        # An int, so no float (nan and inf among them) reaches the clock.
+        if not isinstance(self.t_units, int) or self.t_units < 1:
+            raise ParameterError("t_units must be an int >= 1")
         if not 0 < self.epsilon < math.inf:
             raise ParameterError("epsilon must be finite and > 0")
 
@@ -112,12 +112,10 @@ def vc_setup(lam: int, c: qsim.Circuit, x, cost: CostModel
 
 
 def vc_prove(crs: Crs, c: qsim.Circuit, x, token: OracleToken, ledger: Ledger,
-             clock: MeteredClock, cost: CostModel | None = None) -> TimestampedProof:
+             clock: MeteredClock, cost: CostModel) -> TimestampedProof:
     """Prove phase: charge the computation cost, obtain the backend proof
     (the oracle refuses a foreign token or a false statement), and
     timestamp it."""
-    if cost is None:
-        cost = CostModel.from_circuit(c)
     clock.charge(cost.t_units)
     return stamp_proof(dvproof.prove_oracle(token, crs.pk, c, x), ledger, clock)
 
@@ -147,7 +145,7 @@ def vc_verify_explain(crs: Crs, c: qsim.Circuit, x, pi_tau: TimestampedProof,
     Total: all failures are reject verdicts.  Late proofs (tau >= delta)
     are rejected; the deadline window is [0, delta).  Never simulates C.
     """
-    if pi_tau.stamp.tau >= crs.tpk.mu:     # crs.delta, read without the property call
+    if pi_tau.stamp.tau >= crs.delta:
         return False, REJECT_TIMESTAMP
     if not dvproof.binds(crs.pk, c, x):
         return False, REJECT_STATEMENT

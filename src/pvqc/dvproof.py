@@ -114,8 +114,7 @@ def keygen(lam: int, c: qsim.Circuit, x) -> tuple[DvPublicKey, DvSecretKey]:
     """
     if lam != 8 * KEY_LEN:
         raise ParameterError(f"lambda must be {8 * KEY_LEN}")
-    if len(list(x)) != c.n_inputs:
-        raise ParameterError("input width mismatch")
+    x = qsim.input_bits(x, c.n_inputs)
     pk = DvPublicKey(circuit_digest=circuit_digest(c), input_digest=input_digest(x),
                      session_nonce=secrets.token_bytes(NONCE_LEN))
     sk = DvSecretKey(mac_key=secrets.token_bytes(KEY_LEN))

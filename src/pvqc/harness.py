@@ -24,7 +24,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from . import dvproof, qsim
+from . import commit, dvproof, qsim
 from .commit import Opening
 from .compiler import (DEFAULT_LAMBDA, CostModel, Crs, TimestampedProof,
                        stamp_proof, vc_prove, vc_reveal, vc_setup,
@@ -94,10 +94,10 @@ def strategy_a1_guess_key(crs: Crs, ledger: Ledger, clock: MeteredClock,
     """Tag a proof under a uniformly guessed key and present the guessed
     opening.  Zero sequential charges.  Also serves A3: the guessed
     opening fails the commitment check, the true one the tag check."""
-    guess = rng.randbytes(32)
+    guess = rng.randbytes(dvproof.KEY_LEN)
     proof = dvproof.forge_proof(DvSecretKey(mac_key=guess), crs.pk, 1)
     pi_tau = stamp_proof(proof, ledger, clock)
-    return pi_tau, Opening(sk_bytes=guess, r=rng.randbytes(32))
+    return pi_tau, Opening(sk_bytes=guess, r=rng.randbytes(commit.RAND_LEN))
 
 
 def strategy_a2_solve_then_forge(crs: Crs, ledger: Ledger, clock: MeteredClock,
@@ -119,7 +119,8 @@ def strategy_a4_random_tag(crs: Crs, ledger: Ledger, clock: MeteredClock,
     opening; exercises the claimed-bit rejection site under the true key."""
     proof = dvproof.DvProof(claimed_bit=0, tag=rng.randbytes(32))
     pi_tau = stamp_proof(proof, ledger, clock)
-    return pi_tau, Opening(sk_bytes=rng.randbytes(32), r=rng.randbytes(32))
+    return pi_tau, Opening(sk_bytes=rng.randbytes(dvproof.KEY_LEN),
+                           r=rng.randbytes(commit.RAND_LEN))
 
 
 _ADVERSARIES = {

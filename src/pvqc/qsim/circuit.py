@@ -206,12 +206,14 @@ def circuit_to_bytes(c: Circuit) -> bytes:
     return b"".join(parts)
 
 
-def input_bits(x) -> list:
-    """The entries of x as a list; ParameterError unless each is exactly
-    0 or 1, so that no entry is rounded to a bit."""
+def input_bits(x, width: int | None = None) -> list:
+    """x read once into a list; ParameterError unless each entry is exactly
+    0 or 1 (none is rounded to a bit) and, given a width, there are that many."""
     bits = list(x)
     if bits.count(0) + bits.count(1) != len(bits):
         raise ParameterError("input entries must be 0 or 1")
+    if width is not None and len(bits) != width:
+        raise ParameterError(f"input width {len(bits)} != declared {width}")
     return bits
 
 

@@ -226,9 +226,7 @@ def marginal_one_prob(state: np.ndarray, qubit: int, n: int) -> float:
 def accept_prob(c: Circuit, x) -> float:
     """Exact Pr[output qubit measures 1] with classical input bits loaded
     as the basis state on the input qubits."""
-    bits = input_bits(x)
-    if len(bits) != c.n_inputs:
-        raise ParameterError(f"input width {len(bits)} != declared {c.n_inputs}")
+    bits = input_bits(x, c.n_inputs)
     n = c.n_qubits
     basis = sum(1 << (n - 1 - q) for q, b in enumerate(bits) if b == 1)
     return marginal_one_prob(_simulate(c, basis), c.output_qubit, n)

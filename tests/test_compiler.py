@@ -48,7 +48,9 @@ def test_cost_model_validation():
         for epsilon in (math.nan, math.inf):
             with pytest.raises(ParameterError):
                 CostModel(t_units=t_units, epsilon=epsilon)
-    for t_units in (math.nan, math.inf):
+    # A float, even a whole one, would give a deadline, then fail to stamp
+    # after the clock had moved by it.
+    for t_units in (math.nan, math.inf, 40.0):
         with pytest.raises(ParameterError):
             CostModel(t_units=t_units)
 
@@ -142,6 +144,13 @@ def test_non_bit_input_rejects_at_statement(x):
     assert not verdict and site == compiler.REJECT_STATEMENT
     with pytest.raises(ParameterError):
         compiler.vc_setup(256, c, x, CostModel.from_circuit(c))
+
+
+def test_setup_reads_a_one_shot_input_once():
+    c, x = small_accepting_circuit()
+    crs, _ = compiler.vc_setup(256, c, iter(x), CostModel.from_circuit(c))
+    assert dvproof.binds(crs.pk, c, [0, 0, 0])
+    assert not dvproof.binds(crs.pk, c, [])
 
 
 def test_text_digest_of_statement_rejects():

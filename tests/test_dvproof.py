@@ -97,8 +97,11 @@ def test_keygen_validation():
     c, x = small_accepting_circuit()
     with pytest.raises(ParameterError):
         dvproof.keygen(12, c, x)
-    with pytest.raises(ParameterError):
-        dvproof.keygen(256, c, [0, 0])
+    # Setup and the simulator refuse a short input with one message.
+    for refuse in (lambda: dvproof.keygen(256, c, [0, 0]),
+                   lambda: qsim.accept_prob(c, [0, 0])):
+        with pytest.raises(ParameterError, match=r"^input width 2 != declared 3$"):
+            refuse()
 
 
 def test_circuit_digest_frozen():
