@@ -17,6 +17,7 @@ from .errors import ParameterError
 _DOMAIN = b"COMMITv1"
 
 RAND_LEN = 32
+DIGEST_LEN = 32
 
 
 @dataclass(frozen=True)
@@ -24,7 +25,7 @@ class Commitment:
     digest: bytes
 
     def __post_init__(self):
-        if len(self.digest) != 32:
+        if len(self.digest) != DIGEST_LEN:
             raise ParameterError("digest must be 32 bytes")
 
 

@@ -32,6 +32,9 @@ from .tlp import Puzzle, TlpPublicParams
 
 _MAGIC = b"PVQC"
 _VERSION = 0x02
+# CRS v2 head: magic | version | seed | u64be mu, the deadline | circuit
+# digest | input digest | session nonce; the puzzle and commitment follow.
+_CRS_HEAD = struct.Struct(">4sB32sQ32s32s16s")
 # The opening record `u32be len | sk | r` that the puzzle seals.
 _OPENING_RECORD_LEN = 4 + dvproof.KEY_LEN + commit.RAND_LEN
 
@@ -162,33 +165,22 @@ def vc_verify_explain(crs: Crs, c: qsim.Circuit, x, pi_tau: TimestampedProof,
     return True, None
 
 
-def vc_verify(crs: Crs, c: qsim.Circuit, x, pi_tau: TimestampedProof,
-              y: Opening, ledger: Ledger) -> bool:
-    verdict, _ = vc_verify_explain(crs, c, x, pi_tau, y, ledger)
-    return verdict
-
-
 def serialize_crs(crs: Crs) -> bytes:
-    """v2 layout: magic | version | seed | u64be mu | circuit digest |
-    input digest | nonce | puzzle | commitment; mu is the deadline."""
-    return (_MAGIC + bytes([_VERSION])
-            + crs.tpk.seed + struct.pack(">Q", crs.tpk.mu)
-            + crs.pk.circuit_digest + crs.pk.input_digest + crs.pk.session_nonce
+    pk = crs.pk
+    return (_CRS_HEAD.pack(_MAGIC, _VERSION, crs.tpk.seed, crs.tpk.mu, pk.circuit_digest,
+                           pk.input_digest, pk.session_nonce)
             + tlp.serialize_puzzle(crs.puzzle) + crs.commitment.digest)
 
 
 def parse_crs(data: bytes) -> Crs:
-    if len(data) < 5 or data[:4] != _MAGIC or data[4] != _VERSION:
+    if not data.startswith(_MAGIC + bytes([_VERSION])):
         raise FormatError("bad CRS header")
-    body = data[5:]
-    if len(body) < 40 + 80:
+    if len(data) < _CRS_HEAD.size:
         raise FormatError("truncated CRS record")
-    (mu,) = struct.unpack(">Q", body[32:40])
-    pk = DvPublicKey(circuit_digest=body[40:72], input_digest=body[72:104],
-                     session_nonce=body[104:120])
-    return Crs(tpk=TlpPublicParams(seed=body[:32], mu=mu), pk=pk,
-               puzzle=tlp.parse_puzzle(body[120:-32]),
-               commitment=Commitment(digest=body[-32:]))
+    _, _, seed, mu, *pk_fields = _CRS_HEAD.unpack_from(data)
+    return Crs(tpk=TlpPublicParams(seed=seed, mu=mu), pk=DvPublicKey(*pk_fields),
+               puzzle=tlp.parse_puzzle(data[_CRS_HEAD.size:-commit.DIGEST_LEN]),
+               commitment=Commitment(digest=data[-commit.DIGEST_LEN:]))
 
 
 def serialize_timestamped_proof(pi_tau: TimestampedProof) -> bytes:

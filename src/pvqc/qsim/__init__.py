@@ -1,22 +1,22 @@
 """Dense statevector simulation of small quantum circuits.
 
 The circuit model and its encodings load with the package and need no
-numpy.  The simulator and the HHL builder load on first use of one of
-their names, so a caller that only reads and hashes statements (the
-public verifier) never imports numpy.
+numpy.  The simulator, the HHL builder and the random circuits load on
+first use of one of their names, so a caller that only reads and hashes
+statements (the public verifier) never imports them or numpy.
 """
 
 from importlib import import_module
 
 from .circuit import (Circuit, Gate, GATE_ARITY, PARAM_GATES, circuit_depth,
                       circuit_from_text, circuit_to_bytes, circuit_to_text, input_bits)
-from .randcirc import random_accepting_circuit, random_circuit
 
 ACCEPT_THRESHOLD = 2.0 / 3.0
 
 # Name -> submodule that defines it, bound on first access.
 _LAZY = {
     **dict.fromkeys(("accept_prob", "run", "run_calls"), "simulator"),
+    **dict.fromkeys(("random_accepting_circuit", "random_circuit"), "randcirc"),
     **dict.fromkeys(("HhlInstance", "build_hhl", "classical_solve",
                      "default_evolution_time", "hhl_fidelity"), "hhl"),
 }

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ParameterError
-from .circuit import Circuit, Gate
+from .circuit import MAX_QUBITS, Circuit, Gate
 from .simulator import run
 
 HERMITIAN_TOL = 1e-9
@@ -53,6 +53,8 @@ class HhlInstance:
             raise ParameterError("b is not normalized")
         if self.clock_qubits < 1:
             raise ParameterError("need at least one clock qubit")
+        if n.bit_length() + self.clock_qubits > MAX_QUBITS:    # log2(n) + clock + ancilla
+            raise ParameterError(f"the HHL register must fit in {MAX_QUBITS} qubits")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "evolution_time", default_evolution_time(a))

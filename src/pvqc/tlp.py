@@ -35,6 +35,9 @@ _KS_DOMAIN = b"TLPKSv1"
 _MAGIC = b"PVQ1"
 _VERSION = 0x01
 _RECORD_PUZZLE = 0x02
+# Record: magic | version | record type | nonce | u32be len, then ciphertext | tag.
+_PUZZLE_HEAD = struct.Struct(">4sBB16sI")
+_TAG_LEN = 32
 
 MAX_MESSAGE_LEN = 2**32 - 1
 MAX_MU = 2**64 - 1      # the CRS record stores mu as a u64
@@ -80,7 +83,7 @@ class Puzzle:
     def __post_init__(self):
         if len(self.nonce) != 16:
             raise ParameterError("nonce must be 16 bytes")
-        if len(self.tag) != 32:
+        if len(self.tag) != _TAG_LEN:
             raise ParameterError("tag must be 32 bytes")
 
 
@@ -168,16 +171,17 @@ def calibrate_mu(t_seconds: float, epsilon: float, hash_rate: float) -> int:
 
 
 def serialize_puzzle(o: Puzzle) -> bytes:
-    return (_MAGIC + bytes([_VERSION, _RECORD_PUZZLE]) + o.nonce
-            + struct.pack(">I", len(o.ciphertext)) + o.ciphertext + o.tag)
+    return (_PUZZLE_HEAD.pack(_MAGIC, _VERSION, _RECORD_PUZZLE, o.nonce, len(o.ciphertext))
+            + o.ciphertext + o.tag)
 
 
 def parse_puzzle(data: bytes) -> Puzzle:
-    if len(data) < 26 or data[:4] != _MAGIC:
+    if len(data) < _PUZZLE_HEAD.size or not data.startswith(_MAGIC):
         raise FormatError("bad puzzle magic")
-    if data[4] != _VERSION or data[5] != _RECORD_PUZZLE:
+    _, version, record, nonce, clen = _PUZZLE_HEAD.unpack_from(data)
+    if version != _VERSION or record != _RECORD_PUZZLE:
         raise FormatError("unsupported puzzle version or record type")
-    (clen,) = struct.unpack(">I", data[22:26])
-    if len(data) != 26 + clen + 32:
+    end = _PUZZLE_HEAD.size + clen
+    if len(data) != end + _TAG_LEN:
         raise FormatError("bad puzzle record length")
-    return Puzzle(nonce=data[6:22], ciphertext=data[26:-32], tag=data[-32:])
+    return Puzzle(nonce=nonce, ciphertext=data[_PUZZLE_HEAD.size:end], tag=data[end:])

@@ -32,7 +32,7 @@ def _honest_run(circuit, x):
     clock = MeteredClock()
     pi_tau = compiler.vc_prove(crs, circuit, x, token, ledger, clock, cost)
     opening = compiler.vc_reveal(crs, clock)
-    return compiler.vc_verify(crs, circuit, x, pi_tau, opening, ledger)
+    return compiler.vc_verify_explain(crs, circuit, x, pi_tau, opening, ledger)[0]
 
 
 def test_criterion_1_end_to_end_completeness(capsys):
@@ -284,7 +284,7 @@ def test_criterion_9_verifier_frugality(capsys):
         pi_tau = compiler.vc_prove(crs, circuit, x, token, ledger, clock, cost)
         opening = compiler.vc_reveal(crs, clock)
         runs, chains = qsim.run_calls(), tlp.chain_calls()
-        ok &= compiler.vc_verify(crs, circuit, x, pi_tau, opening, ledger)
+        ok &= compiler.vc_verify_explain(crs, circuit, x, pi_tau, opening, ledger)[0]
         ok &= qsim.run_calls() == runs
         ok &= tlp.chain_calls() == chains
     _report(capsys, 9, "verifier frugality", ok)

@@ -18,6 +18,7 @@ import pytest
 
 from pvqc import bench, cli, commit, compiler, dvproof, harness, qsim, timestamp, tlp
 from pvqc.commit import Opening
+from pvqc.errors import FormatError, ParameterError
 from pvqc.fixtures import (accepting_corpus, small_accepting_circuit,
                            small_rejecting_circuit)
 
@@ -260,6 +261,82 @@ def test_two_ledger_handles_keep_both_records(tmp_path):
         ledger.stamp(bytes([i]), clock)
         ledger.save(path)
     assert len(timestamp.Ledger.load(path).records) == 2
+
+
+def _stamp_late_forgery(paths):
+    """Set up, reveal on the session's own ledger, and stamp a proof forged
+    under the revealed key: tau 79 against delta 78."""
+    assert _setup(paths) == cli.EXIT_ACCEPT
+    assert _reveal(paths) == cli.EXIT_ACCEPT
+    opening = compiler.parse_opening_record(paths["opening"].read_bytes())
+    assert _stamp_forgery(paths, opening.sk_bytes) == 79
+
+
+@_known_break(12, "break E, verify reads the deadline from the CRS it is handed")
+def test_edited_crs_deadline_forges_nothing(workspace, tmp_path, capsys):
+    _stamp_late_forgery(workspace)
+    capsys.readouterr()
+    assert _verify(workspace) == cli.EXIT_REJECT
+    assert capsys.readouterr().out == "reject (site=timestamp)\n"
+    crs = bytearray(workspace["crs"].read_bytes())
+    crs[37] ^= 0x01                     # the top byte of u64be mu
+    edited = dict(workspace, crs=tmp_path / "edited_crs.bin")
+    edited["crs"].write_bytes(crs)
+    assert compiler.parse_crs(bytes(crs)).delta == 2**56 + 78
+    assert _verify(edited) == cli.EXIT_REJECT
+
+
+# The bytes of the four records a verifier reads where some single-bit
+# flip keeps an honest session's accept: the CRS's seed and mu, its
+# puzzle's nonce, ciphertext and tag, and the ledger's second record, the
+# reveal record.  Verify reads none of them but mu, and an early proof
+# stays early under most edits of mu; item 12 binds it.
+_UNREAD_BYTES = ({("crs", i) for lo, hi in ((5, 45), (131, 147), (151, 251))
+                  for i in range(lo, hi)}
+                 | {("ledger", i) for i in range(77, 149)})
+
+
+def _accepting_flips(paths):
+    """The (record, byte) positions of the session's records at which some
+    single-bit flip still verifies; a record that fails to parse rejects."""
+    scratch = paths["ledger"].parent / "flipped_ledger.bin"
+
+    def load_ledger(data):
+        scratch.write_bytes(data)
+        return timestamp.Ledger.load(scratch)
+
+    parse = {"crs": compiler.parse_crs, "proof": compiler.parse_timestamped_proof,
+             "opening": compiler.parse_opening_record, "ledger": load_ledger}
+    blobs = {name: paths[name].read_bytes() for name in parse}
+    genuine = {name: parse[name](blob) for name, blob in blobs.items()}
+    circuit, x = small_accepting_circuit()
+    accepting = set()
+    for name, blob in blobs.items():
+        for bit in range(8 * len(blob)):
+            flipped = bytearray(blob)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            try:
+                records = dict(genuine, **{name: parse[name](bytes(flipped))})
+            except (FormatError, ParameterError):
+                continue
+            if compiler.vc_verify_explain(records["crs"], circuit, x, records["proof"],
+                                          records["opening"], records["ledger"])[0]:
+                accepting.add((name, bit // 8))
+    return accepting
+
+
+def test_flips_that_keep_an_honest_accept_are_in_unread_bytes(workspace):
+    _run_pipeline(workspace)
+    assert {name: len(workspace[name].read_bytes())
+            for name in ("crs", "proof", "opening", "ledger")} == \
+        {"crs": 283, "proof": 78, "opening": 68, "ledger": 149}
+    assert _accepting_flips(workspace) == _UNREAD_BYTES
+
+
+@_known_break(12, "break E, a flip of mu in the CRS moves the deadline")
+def test_no_single_flip_accepts_a_late_forgery(workspace):
+    _stamp_late_forgery(workspace)
+    assert _accepting_flips(workspace) == set()
 
 
 def test_missing_file_is_error(workspace):
@@ -541,6 +618,10 @@ assert_unloaded(*unused_by_verify)
 from pvqc import cli, qsim
 assert cli.main({argv!r}) == cli.EXIT_ACCEPT
 assert_unloaded(*unused_by_verify)
+loaded = sorted(m for m in sys.modules if m == "pvqc" or m.startswith("pvqc."))
+assert loaded == ["pvqc", *(f"pvqc.{{m}}" for m in
+                            ("cli", "commit", "compiler", "dvproof", "errors", "meter",
+                             "qsim", "qsim.circuit", "timestamp", "tlp"))], loaded
 from pvqc import fixtures
 qsim.accept_prob(*fixtures.small_accepting_circuit())
 assert "accept_prob" in vars(qsim)

@@ -232,7 +232,7 @@ def test_verify_rejects_empty_committed_key():
 def test_verify_is_frugal():
     c, x, crs, pi_tau, opening, ledger = _honest_artifacts()
     runs_before, chain_before = qsim.run_calls(), tlp.chain_calls()
-    assert compiler.vc_verify(crs, c, x, pi_tau, opening, ledger)
+    assert compiler.vc_verify_explain(crs, c, x, pi_tau, opening, ledger)[0]
     assert qsim.run_calls() == runs_before
     assert tlp.chain_calls() == chain_before
 

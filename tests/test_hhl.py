@@ -101,6 +101,9 @@ def test_instance_validation():
     with pytest.raises(ParameterError):
         qsim.HhlInstance(a=np.eye(2, dtype=complex), b=np.array([1.0, 0.0]),
                          clock_qubits=0)
+    with pytest.raises(ParameterError):     # 1 system + 19 clock + 1 ancilla qubits
+        qsim.HhlInstance(a=np.eye(2, dtype=complex), b=np.array([1.0, 0.0]),
+                         clock_qubits=19)
 
 
 @pytest.mark.parametrize("a, b", [
