@@ -24,6 +24,14 @@ texts in the measuring process, after earlier parses, and
 `corpus_parse_first_ms` the best time of the same 20 parses as the first
 in a fresh interpreter, before any gate line has been seen.
 
+Chain rows: the steps/s of CHAIN_STEPS chain steps, best of CHAIN_REPS
+interleaved repetitions, at three layers: `chain_raw_steps_per_s` a bare
+hashlib loop over the step formula, `chain_unmetered_steps_per_s` the
+walk `tlp.setup` and `bench.measure_hash_rate` run, and
+`chain_metered_steps_per_s` the walk `tlp.solve` runs on a
+`MeteredClock`; `chain_metered_over_unmetered` is the ratio of the last
+two within the run.
+
 CLI rows: `corpus_cli_verify_ms` is `cli.main(["verify", ...])` in-process
 over the same 20 statements, on session files written by `pvqc setup`,
 `prove` and `reveal` before timing starts.  `cold_cli_verify_ms` is the
@@ -36,11 +44,13 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
 import random
 import statistics
+import struct
 import subprocess
 import sys
 import tempfile
@@ -51,6 +61,8 @@ QUBITS = (5, 10, 15)
 GATES = 200
 COLD_STATEMENT = 17     # 14 qubits, depth 90
 COLD_REPS = 5
+CHAIN_STEPS = 50_000
+CHAIN_REPS = 5
 
 
 def _best_ms(fn, reps: int) -> float:
@@ -156,6 +168,30 @@ def _cli_rows(argvs) -> dict[str, float]:
     return out
 
 
+def _chain_rows() -> dict[str, float]:
+    from pvqc import tlp
+    from pvqc.meter import MeteredClock
+
+    def raw(steps):
+        sha256, pack, s = hashlib.sha256, struct.pack, bytes(32)
+        for i in range(steps):
+            s = sha256(b"TLPCHAINv1" + pack(">Q", i) + s).digest()
+        return s
+
+    if raw(16) != tlp._walk_chain(bytes(32), 16):
+        raise RuntimeError("the bare loop does not compute tlp's chain")
+    walks = {"raw": lambda: raw(CHAIN_STEPS),
+             "unmetered": lambda: tlp._walk_chain(bytes(32), CHAIN_STEPS),
+             "metered": lambda: tlp._walk_chain(bytes(32), CHAIN_STEPS, meter=MeteredClock())}
+    best = dict.fromkeys(walks, float("inf"))
+    for _ in range(CHAIN_REPS):     # interleaved: a drift in speed reaches all three
+        for name, walk in walks.items():
+            best[name] = min(best[name], _best_ms(walk, 1))
+    out = {f"chain_{name}_steps_per_s": CHAIN_STEPS / ms * 1e3 for name, ms in best.items()}
+    out["chain_metered_over_unmetered"] = best["unmetered"] / best["metered"]
+    return out
+
+
 def measure() -> dict[str, float]:
     from pvqc import dvproof, fixtures, qsim
     from pvqc.qsim.circuit import DOUBLE_GATES, PARAM_GATES, SINGLE_GATES
@@ -163,7 +199,7 @@ def measure() -> dict[str, float]:
     def gate(kind, targets):
         return qsim.Gate(kind, targets, params=(0.7,) if kind in PARAM_GATES else ())
 
-    out = {}
+    out = _chain_rows()
     for n in QUBITS:
         rng = random.Random(n)
         pairs = [tuple(rng.sample(range(n), 2)) for _ in range(GATES)]

@@ -49,9 +49,11 @@ def _median_time(fn, repetitions: int) -> float:
 
 def measure_hash_rate() -> float:
     """Sequential chain steps per second on this machine, timed on the
-    loop that `tlp.solve` runs: the fastest of many short samples, because
-    a deadline must hold against the fastest solver, and a machine whose
-    speed drifts over tens of milliseconds reads low on a long sample."""
+    loop that `tlp.solve` runs, metered or not: a metered solve charges
+    its clock once per chunk, before the chunk, around the same inner
+    loop.  The fastest of many short samples, because a deadline must
+    hold against the fastest solver, and a machine whose speed drifts
+    over tens of milliseconds reads low on a long sample."""
     best = min(_timed(tlp._walk_chain, bytes(32), HASH_SAMPLE_STEPS)[1]
                for _ in range(HASH_SAMPLES))
     return HASH_SAMPLE_STEPS / best

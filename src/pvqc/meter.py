@@ -3,12 +3,24 @@
 Every sequential hash step and every charged circuit evaluation advances
 the clock; timestamps and deadline comparisons are expressed in these
 units, which keeps the protocol's timing behaviour deterministic and
-test-stable.
+test-stable.  A hash-chain walk charges once per chunk of
+`tlp.PROGRESS_INTERVAL` steps, before the chunk is walked, so the clock
+is never behind the work done.
 """
 
 from __future__ import annotations
 
 import threading
+
+from .errors import ParameterError
+
+
+def _units(value, what: str) -> int:
+    # An int, as CostModel.t_units: no float (nan and inf among them)
+    # reaches the clock or the u64 tau of a stamp.
+    if not isinstance(value, int) or value < 0:
+        raise ParameterError(f"{what} must be an int >= 0")
+    return value
 
 
 class MeteredClock:
@@ -21,9 +33,7 @@ class MeteredClock:
     """
 
     def __init__(self, start: int = 0):
-        if start < 0:
-            raise ValueError("clock cannot start negative")
-        self._now = start
+        self._now = _units(start, "clock start")
         self._lock = threading.Lock()
 
     @property
@@ -31,8 +41,7 @@ class MeteredClock:
         return self._now
 
     def charge(self, steps: int = 1) -> int:
-        if steps < 0:
-            raise ValueError("cannot charge negative steps")
+        _units(steps, "charged steps")
         with self._lock:
             self._now += steps
             return self._now

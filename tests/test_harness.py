@@ -3,6 +3,7 @@ per-strategy outcomes with their designated rejection sites."""
 
 import inspect
 import itertools
+import math
 
 import pytest
 
@@ -28,6 +29,17 @@ def test_clock_validation():
         MeteredClock(start=-1)
     with pytest.raises(ValueError):
         MeteredClock().charge(-1)
+
+
+@pytest.mark.parametrize("bad", [0.5, math.nan, math.inf, "3"])
+def test_clock_refuses_non_int_units(bad):
+    # As CostModel.t_units: a non-int never reaches a stamp's u64 tau.
+    with pytest.raises(ParameterError, match="int"):
+        MeteredClock(start=bad)
+    clock = MeteredClock(start=2)
+    with pytest.raises(ParameterError, match="int"):
+        clock.charge(bad)
+    assert clock.now == 2
 
 
 # ------------------------------------------------------------- win formula

@@ -1,6 +1,7 @@
 """Time-lock puzzle unit tests: frozen digests, step accounting, tamper
 rejection, serialization, and calibration."""
 
+import itertools
 import math
 
 import pytest
@@ -55,6 +56,34 @@ def test_solve_costs_exactly_mu_chain_steps():
     assert tlp.solve(tpk, puzzle, meter=clock) == b"message"
     assert tlp.chain_calls() - before == 37
     assert clock.now == 37
+
+
+class _RecordingClock(MeteredClock):
+    """Records each charge with the chain steps walked before it."""
+
+    def __init__(self):
+        super().__init__()
+        self.charges = []
+        self.chain_before = tlp.chain_calls()
+
+    def charge(self, steps=1):
+        self.charges.append((steps, tlp.chain_calls() - self.chain_before))
+        return super().charge(steps)
+
+
+@pytest.mark.parametrize("mu", [1, 7, 8, 9, 17])
+def test_metered_walk_charges_each_chunk_before_walking_it(monkeypatch, mu):
+    monkeypatch.setattr(tlp, "PROGRESS_INTERVAL", 8)
+    clock, reported = _RecordingClock(), []
+    endpoint = tlp._walk_chain(bytes(32), mu, meter=clock, progress=reported.append)
+    steps = [charged for charged, _ in clock.charges]
+    assert len(steps) == math.ceil(mu / 8) and sum(steps) == mu
+    # The clock is never behind the walk: each chunk is paid before it runs.
+    walked = [w for _, w in clock.charges]
+    assert walked == list(itertools.accumulate([0] + steps[:-1]))
+    assert tlp.chain_calls() - clock.chain_before == clock.now == mu
+    assert reported == list(range(8, mu + 1, 8))
+    assert endpoint == tlp._walk_chain(bytes(32), mu)
 
 
 @settings(max_examples=30, deadline=None)
