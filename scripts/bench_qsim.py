@@ -11,9 +11,13 @@ comparison of two source trees.
         plus their quartiles q1 and q3 (inclusive method) when n >= 2.
         Stops if a round's `pvqc_file`, the pvqc it imported, is not in its tree.
 
-Per-kind rows: a two-qubit kind is timed alone, 200 gates on random pairs.
-A one-qubit kind is timed as 200 (gate, CZ) pairs minus 200 CZs alone: the
-CZ touches the gate's qubit, so each gate is applied on its own, not fused.
+Per-kind rows: a two-qubit kind is timed alone, 200 gates on random pairs;
+a SWAP relabels two qubits and touches no amplitude, so its rows time the
+relabel.  A one-qubit kind is timed as 200 (gate, partner) pairs minus 200
+partners alone, where the partner is a two-qubit gate on the gate's qubit
+that does not commute with it, so each gate is applied on its own, neither
+fused nor left pending: a CNOT whose target is the gate's qubit for the
+diagonal kinds, which pass a CZ, and a CZ for the others.
 
 Corpus rows: `dvproof.circuit_digest` of every statement of
 `fixtures.accepting_corpus()`, and `compiler.vc_verify_explain` of every
@@ -194,7 +198,7 @@ def _chain_rows() -> dict[str, float]:
 
 def measure() -> dict[str, float]:
     from pvqc import dvproof, fixtures, qsim
-    from pvqc.qsim.circuit import DOUBLE_GATES, PARAM_GATES, SINGLE_GATES
+    from pvqc.qsim.circuit import DIAGONAL_GATES, DOUBLE_GATES, PARAM_GATES, SINGLE_GATES
 
     def gate(kind, targets):
         return qsim.Gate(kind, targets, params=(0.7,) if kind in PARAM_GATES else ())
@@ -209,10 +213,14 @@ def measure() -> dict[str, float]:
             c = qsim.Circuit(n_qubits=n, gates=tuple(gates), output_qubit=0)
             return _best_ms(lambda: qsim.run(c), reps)
 
-        cz_ms = ms(gate("CZ", p) for p in pairs)
+        partners = {"CZ": [gate("CZ", p) for p in pairs],
+                    "CNOT": [gate("CNOT", p[::-1]) for p in pairs]}
+        partner_ms = {name: ms(gates) for name, gates in partners.items()}
         for kind in SINGLE_GATES:
-            gates = [g for p in pairs for g in (gate(kind, p[:1]), gate("CZ", p))]
-            out[f"us_per_gate.{kind}.{n}q"] = (ms(gates) - cz_ms) / GATES * 1e3
+            partner = "CNOT" if kind in DIAGONAL_GATES else "CZ"
+            gates = [g for p, two in zip(pairs, partners[partner])
+                     for g in (gate(kind, p[:1]), two)]
+            out[f"us_per_gate.{kind}.{n}q"] = (ms(gates) - partner_ms[partner]) / GATES * 1e3
         for kind in DOUBLE_GATES:
             gates = [gate(kind, p) for p in pairs]
             out[f"us_per_gate.{kind}.{n}q"] = ms(gates) / GATES * 1e3

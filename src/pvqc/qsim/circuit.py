@@ -110,15 +110,20 @@ def gate_weight(g: Gate) -> int:
 def circuit_depth(c: Circuit) -> int:
     """Greedy layering: a gate starts at the earliest layer where all its
     targets are free, occupying `gate_weight` layers."""
-    frontier = [0] * c.n_qubits
-    depth = 0
+    frontier = [0] * c.n_qubits     # qubit -> end of its last gate's layers
     for g in c.gates:
-        start = max(frontier[t] for t in g.targets)
-        end = start + gate_weight(g)
-        for t in g.targets:
-            frontier[t] = end
-        depth = max(depth, end)
-    return depth
+        targets = g.targets
+        if len(targets) == 1:
+            frontier[targets[0]] += gate_weight(g)
+        elif len(targets) == 2:
+            a, b = targets
+            fa, fb = frontier[a], frontier[b]
+            frontier[a] = frontier[b] = (fa if fa > fb else fb) + gate_weight(g)
+        else:
+            end = max([frontier[t] for t in targets]) + gate_weight(g)
+            for t in targets:
+                frontier[t] = end
+    return max(frontier)
 
 
 def _gate_text(g: Gate) -> str:

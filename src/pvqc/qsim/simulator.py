@@ -1,7 +1,14 @@
 """Statevector execution and acceptance-probability evaluation.
 
 `apply_gate` is the pure single-gate reference.  `run` and `accept_prob`
-apply a whole gate list in place on one buffer, with a kernel per gate kind.
+apply a whole gate list in place on one buffer, with a kernel per gate kind,
+and cut the passes over that buffer in two ways.  A SWAP applies no kernel:
+it exchanges two entries of a logical-to-physical qubit map, and later gates
+act on the physical qubits the map names.  And one-qubit gates wait as one
+pending 2x2 matrix per qubit, which a two-qubit gate flushes only when it
+does not commute with it: a diagonal matrix passes CZ and CPHASE on either
+qubit and CNOT on its control, and an X-type one (a*I + b*X, such as X or
+RX) passes CNOT on its target.
 """
 
 from __future__ import annotations
@@ -69,6 +76,17 @@ _FIXED_2Q = {
     "SWAP": np.array([[1, 0, 0, 0], [0, 0, 1, 0],
                       [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex),
 }
+
+
+def _is_diagonal(m: tuple) -> bool:
+    """m commutes with Z: it passes CZ, CPHASE and a CNOT control."""
+    return m[0][1] == 0 and m[1][0] == 0
+
+
+def _is_x_type(m: tuple) -> bool:
+    """m = a*I + b*X commutes with X: it passes a CNOT target."""
+    return m[0][0] == m[1][1] and m[0][1] == m[1][0]
+
 
 # Instrumentation: total full-circuit executions in this process.
 _run_calls = 0
@@ -166,56 +184,80 @@ def _apply_1q(views: _Views, m: tuple, q: int) -> None:
         np.copyto(a0, new0)
 
 
-def _apply_2q(views: _Views, g: Gate) -> None:
-    """A CNOT, SWAP or diagonal two-qubit gate, in place."""
-    a, b = g.targets
+def _apply_2q(views: _Views, g: Gate, a: int, b: int) -> None:
+    """A CNOT or diagonal two-qubit gate on physical qubits a, b, in place."""
     if g.kind in DIAGONAL_GATES:
         d = _corner_2q(g)
         if d != 1:
             v = views[(a, 1), (b, 1)]
             np.multiply(v, d, out=v, order="C")
         return
-    # CNOT swaps |10> with |11>; SWAP swaps |10> with |01>.
-    hi = 1 if g.kind == "CNOT" else 0
-    s0, s1 = views[(a, 1), (b, 0)], views[(a, hi), (b, 1)]
+    # CNOT swaps |10> with |11>.
+    s0, s1 = views[(a, 1), (b, 0)], views[(a, 1), (b, 1)]
     old0 = s0.copy(order="C")
     np.copyto(s0, s1)
     np.copyto(s1, old0)
 
 
-def _simulate(c: Circuit, basis: int) -> np.ndarray:
+def _simulate(c: Circuit, basis: int) -> tuple[np.ndarray, list[int]]:
     """Apply the gate list in order to the basis state |basis>, in place on
-    one buffer.  Runs of one-qubit gates on a qubit are multiplied into one
-    pending 2x2 matrix, applied when a wider gate touches that qubit or the
-    circuit ends; gates on disjoint qubits commute, so this is exact."""
+    one buffer, and return the buffer and the map `phys` that places
+    logical qubit q on physical qubit phys[q] of it.
+
+    A SWAP exchanges two entries of `phys` and touches no amplitude; every
+    other gate acts on the physical qubits its targets map to.  One-qubit
+    gates on a physical qubit are multiplied into one pending 2x2 matrix.
+    A two-qubit gate flushes a pending matrix only when the two do not
+    commute: a diagonal one stays pending across CZ, CPHASE and a CNOT
+    control, an X-type one (`_is_x_type`) across a CNOT target.  A
+    DENSE_UNITARY flushes all of its qubits, and the end of the circuit
+    flushes the rest.  Each gate moved past commutes with it exactly, so
+    the result is the gate list's, up to rounding."""
     global _run_calls
     _run_calls += 1
     n = c.n_qubits
     state = np.zeros(2 ** n, dtype=complex)
     state[basis] = 1.0
     views = _Views(state, n)
-    pending: dict[int, tuple] = {}
+    phys = list(range(n))
+    pending: dict[int, tuple] = {}      # physical qubit -> matrix not yet applied
     for g in c.gates:
-        if g.kind in _FUSABLE:
-            q = g.targets[0]
+        kind = g.kind
+        if kind in _FUSABLE:
+            q = phys[g.targets[0]]
             m = _entries_1q(g)
             pending[q] = _matmul_2x2(m, pending[q]) if q in pending else m
-            continue
-        for q in g.targets:
-            if q in pending:
-                _apply_1q(views, pending.pop(q), q)
-        if g.kind == "DENSE_UNITARY":
+        elif kind == "SWAP":
+            a, b = g.targets
+            phys[a], phys[b] = phys[b], phys[a]
+        elif kind == "DENSE_UNITARY":
+            targets = tuple(phys[t] for t in g.targets)
+            for q in targets:
+                if q in pending:
+                    _apply_1q(views, pending.pop(q), q)
+            if targets != g.targets:
+                g = Gate(kind, targets, matrix=g.matrix)
             state[...] = apply_gate(state, g, n)
         else:
-            _apply_2q(views, g)
+            a, b = phys[g.targets[0]], phys[g.targets[1]]
+            m = pending.get(a)
+            if m is not None and not _is_diagonal(m):
+                _apply_1q(views, pending.pop(a), a)
+            m = pending.get(b)
+            if m is not None and not (_is_x_type(m) if kind == "CNOT" else _is_diagonal(m)):
+                _apply_1q(views, pending.pop(b), b)
+            _apply_2q(views, g, a, b)
     for q, m in pending.items():
         _apply_1q(views, m, q)
-    return state
+    return state, phys
 
 
 def run(c: Circuit) -> np.ndarray:
     """Apply the gate list in order to |0...0>. Pure and deterministic."""
-    return _simulate(c, 0)
+    state, phys = _simulate(c, 0)
+    if phys != list(range(c.n_qubits)):
+        state = state.reshape([2] * c.n_qubits).transpose(phys).reshape(-1)
+    return state
 
 
 def marginal_one_prob(state: np.ndarray, qubit: int, n: int) -> float:
@@ -229,4 +271,5 @@ def accept_prob(c: Circuit, x) -> float:
     bits = input_bits(x, c.n_inputs)
     n = c.n_qubits
     basis = sum(1 << (n - 1 - q) for q, b in enumerate(bits) if b == 1)
-    return marginal_one_prob(_simulate(c, basis), c.output_qubit, n)
+    state, phys = _simulate(c, basis)
+    return marginal_one_prob(state, phys[c.output_qubit], n)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from pvqc import fixtures, qsim
 from pvqc.errors import FormatError, ParameterError
+from pvqc.qsim import simulator
 from pvqc.qsim.circuit import (_PLAIN_GATES, DOUBLE_GATES, GATE_ARITY, MAX_QUBITS,
                                PARAM_GATES, SINGLE_GATES, Gate, _gate_text, gate_weight)
 from pvqc.qsim.simulator import apply_gate, gate_matrix, marginal_one_prob
@@ -150,13 +151,23 @@ def test_gate_matrix_closed_forms(kind, angle):
 
 # ------------------------------------------------ fast path vs reference
 
+_ALL_KINDS = SINGLE_GATES + DOUBLE_GATES + ("DENSE_UNITARY",)
+# Mostly gates that relabel qubits or that pending one-qubit gates pass:
+# SWAP, CZ, CPHASE and CNOT, with the diagonal and the X-type one-qubit
+# kinds, so that pendings ride across long stretches and dense gates land
+# on relabelled qubits.  H and RY, which no two-qubit gate lets pass, are
+# rare.
+_SCHEDULE_KINDS = (("SWAP",) * 6 + ("CZ", "CPHASE", "CNOT") * 3
+                   + ("Z", "S", "T", "RZ", "PHASE", "X", "RX") * 2
+                   + ("H", "RY", "DENSE_UNITARY", "DENSE_UNITARY"))
+
+
 @st.composite
-def _circuit_and_bits(draw):
-    """1-10 qubits; every gate kind, 2-qubit targets in either order, and
-    1-2-qubit DENSE_UNITARY gates mixed in."""
-    n = draw(st.integers(1, 10))
-    kinds = [k for k in SINGLE_GATES + DOUBLE_GATES if GATE_ARITY[k] <= n]
-    kinds.append("DENSE_UNITARY")
+def _circuit_and_bits(draw, kinds=_ALL_KINDS, min_qubits=1):
+    """min_qubits-10 qubits; gates drawn from `kinds` (repeats weight a
+    kind), 2-qubit targets in either order, DENSE_UNITARY on 1-2 qubits."""
+    n = draw(st.integers(min_qubits, 10))
+    kinds = [k for k in kinds if GATE_ARITY.get(k, 1) <= n]
     gates = []
     for _ in range(draw(st.integers(0, 40))):
         kind = draw(st.sampled_from(kinds))
@@ -191,14 +202,78 @@ def _reference_run(c, gates):
     return state
 
 
-@settings(max_examples=200, deadline=None)
-@given(case=_circuit_and_bits())
-def test_run_matches_reference_fold(case):
-    c, bits = case
+def _assert_matches_reference_fold(c, bits):
     assert np.abs(qsim.run(c) - _reference_run(c, c.gates)).max() <= 1e-12
     loaded = tuple(Gate("X", (q,)) for q, b in enumerate(bits) if b) + c.gates
     expected = marginal_one_prob(_reference_run(c, loaded), c.output_qubit, c.n_qubits)
     assert abs(qsim.accept_prob(c, bits) - expected) <= 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_circuit_and_bits())
+def test_run_matches_reference_fold(case):
+    _assert_matches_reference_fold(*case)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_circuit_and_bits(_SCHEDULE_KINDS, min_qubits=2))
+def test_relabel_and_commuting_schedule_match_reference_fold(case):
+    # `run` returns the state in logical qubit order however the SWAPs
+    # left the qubit map, and `accept_prob` reads the output qubit where
+    # the map put it.
+    _assert_matches_reference_fold(*case)
+
+
+def _kernel_calls(monkeypatch, c):
+    """The kernels `qsim.run(c)` applies, in order: ("1q", physical qubit)
+    for a flushed one-qubit matrix, the gate kind for a two-qubit gate."""
+    calls = []
+    apply_1q, apply_2q = simulator._apply_1q, simulator._apply_2q
+
+    def one(views, m, q):
+        calls.append(("1q", q))
+        apply_1q(views, m, q)
+
+    def two(views, g, a, b):
+        calls.append(g.kind)
+        apply_2q(views, g, a, b)
+
+    monkeypatch.setattr(simulator, "_apply_1q", one)
+    monkeypatch.setattr(simulator, "_apply_2q", two)
+    assert np.abs(qsim.run(c) - _reference_run(c, c.gates)).max() <= 1e-12
+    return calls
+
+
+_H01 = (Gate("H", (0,)), Gate("H", (1,)))
+
+
+@pytest.mark.parametrize("gates,expected", [
+    # SWAPs only relabel qubits.
+    ((Gate("SWAP", (0, 1)), Gate("SWAP", (1, 2)), Gate("SWAP", (0, 2))), []),
+    # Diagonal pendings pass CZ and CPHASE on either qubit and a CNOT
+    # control; S on qubit 1 is flushed by the CNOT that targets it.
+    ((*_H01, Gate("CZ", (0, 1)), Gate("T", (0,)), Gate("CZ", (0, 1)), Gate("S", (1,)),
+      Gate("CPHASE", (1, 0), params=(0.4,)), Gate("RZ", (0,), params=(0.3,)),
+      Gate("CNOT", (0, 1)), Gate("PHASE", (0,), params=(1.1,))),
+     [("1q", 0), ("1q", 1), "CZ", "CZ", "CPHASE", ("1q", 1), "CNOT", ("1q", 0)]),
+    # RX and X pass a CNOT target.
+    ((Gate("H", (0,)), Gate("RX", (1,), params=(0.6,)), Gate("CNOT", (0, 1)),
+      Gate("X", (1,)), Gate("CNOT", (0, 1))),
+     [("1q", 0), "CNOT", "CNOT", ("1q", 1)]),
+    # H commutes with no two-qubit gate, so CZ flushes it.
+    ((*_H01, Gate("CZ", (0, 1)), Gate("H", (0,))), [("1q", 0), ("1q", 1), "CZ", ("1q", 0)]),
+], ids=["swap-only", "diagonal-passes", "x-type-passes-cnot-target", "h-flushed"])
+def test_schedule_applies_only_the_kernels_it_must(monkeypatch, gates, expected):
+    c = qsim.Circuit(n_qubits=3, gates=gates, output_qubit=2)
+    assert _kernel_calls(monkeypatch, c) == expected
+
+
+def test_swaps_move_the_output_qubit():
+    # Input 1 on qubit 0, carried to the output qubit 2 by relabels alone.
+    c = qsim.Circuit(n_qubits=3, gates=(Gate("SWAP", (0, 1)), Gate("SWAP", (1, 2))),
+                     output_qubit=2)
+    assert qsim.accept_prob(c, [1, 0, 0]) == 1.0
+    assert qsim.accept_prob(c, [0, 1, 1]) == 0.0
 
 
 @pytest.mark.parametrize("kind,params", [
@@ -208,9 +283,10 @@ def test_run_matches_reference_fold(case):
 def test_diagonal_fast_path_matches_generic(kind, params):
     # `run` applies the diagonal gate with its in-place kernels: a one-qubit
     # gate left pending to the end takes `_apply_1q`'s diagonal branch, a
-    # two-qubit one `_apply_2q`'s |11> slice.  The H layer, flushed by the
-    # CZ chain, gives every amplitude the same magnitude, so a kernel that
-    # scales a wrong slice or by a wrong entry moves some of them.
+    # two-qubit one `_apply_2q`'s |11> slice.  The H layer gives every
+    # amplitude the same magnitude, so a kernel that scales a wrong slice
+    # or by a wrong entry moves some of them.  H is not diagonal, so the CZ
+    # chain flushes it before the CZs; a diagonal layer would pass them.
     n = 5
     prepare = (*(Gate("H", (q,)) for q in range(n)),
                *(Gate("CZ", (q, q + 1)) for q in range(n - 1)))
@@ -250,6 +326,25 @@ def test_depth_greedy_layering():
 def test_empty_circuit_depth_zero():
     c = qsim.Circuit(n_qubits=2, gates=(), output_qubit=0)
     assert qsim.circuit_depth(c) == 0
+
+
+def _greedy_depth(c):
+    """The layering rule written plainly: each gate ends `gate_weight`
+    layers after the latest end among its targets."""
+    frontier = [0] * c.n_qubits
+    depth = 0
+    for g in c.gates:
+        end = max(frontier[t] for t in g.targets) + gate_weight(g)
+        for t in g.targets:
+            frontier[t] = end
+        depth = max(depth, end)
+    return depth
+
+
+@settings(max_examples=100, deadline=None)
+@given(c=st.deferred(lambda: _statement()))
+def test_depth_matches_greedy_layering(c):
+    assert qsim.circuit_depth(c) == _greedy_depth(c)
 
 
 @settings(max_examples=20, deadline=None)
