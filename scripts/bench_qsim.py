@@ -5,11 +5,14 @@ comparison of two source trees.
         Times the importable pvqc and prints one JSON object of metrics,
         each the best of a few repetitions.
     python scripts/bench_qsim.py --trees BEFORE_SRC AFTER_SRC --rounds 5
-        Runs the first form once per round in each tree (PYTHONPATH set to
-        the tree, BLAS on one thread), alternating which goes first, and
-        prints median, min and n of the per-round values for both trees,
-        plus their quartiles q1 and q3 (inclusive method) when n >= 2.
-        Stops if a round's `pvqc_file`, the pvqc it imported, is not in its tree.
+        Starts one worker process per tree (PYTHONPATH set to the tree,
+        BLAS on one thread) and, each round, asks both for each group of
+        rows in turn, so that the trees alternate per sample and a slow
+        phase of the host covers both; which tree goes first alternates
+        too.  Prints, for every row, the median, min and n of each tree's
+        values and of the paired ratio AFTER / BEFORE, with their
+        quartiles q1 and q3 (inclusive method) when n >= 2.  Stops if a
+        worker's pvqc, the one it imported, is not in its tree.
 
 Per-kind rows: a two-qubit kind is timed alone, 200 gates on random pairs;
 a SWAP relabels two qubits and touches no amplitude, so its rows time the
@@ -17,11 +20,16 @@ relabel.  A one-qubit kind is timed as 200 (gate, partner) pairs minus 200
 partners alone, where the partner is a two-qubit gate on the gate's qubit
 that does not commute with it, so each gate is applied on its own, neither
 fused nor left pending: a CNOT whose target is the gate's qubit for the
-diagonal kinds, which pass a CZ, and a CZ for the others.
+diagonal kinds, which pass a CZ, and a CZ for the others.  The partner
+flushes a kind that is not diagonal by copying the state with the gate's
+qubit in front, so such a row's (gate, partner) pair includes that copy.
 
-Corpus rows: `dvproof.circuit_digest` of every statement of
-`fixtures.accepting_corpus()`, and `compiler.vc_verify_explain` of every
-statement on the parsed records of the CLI sessions below.
+Corpus rows: `qsim.accept_prob` of every statement of
+`fixtures.accepting_corpus()`, as one pass (`corpus_accept_prob_ms`) and
+as `corpus_accept_prob_ms.<n>q`, the best time of each n-qubit statement
+summed; `dvproof.circuit_digest` of every statement; and
+`compiler.vc_verify_explain` of every statement on the parsed records of
+the CLI sessions below.
 
 Parse rows: `corpus_parse_ms` is `qsim.circuit_from_text` of the 20 corpus
 texts in the measuring process, after earlier parses, and
@@ -48,6 +56,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -196,67 +205,123 @@ def _chain_rows() -> dict[str, float]:
     return out
 
 
-def measure() -> dict[str, float]:
-    from pvqc import dvproof, fixtures, qsim
+def _kind_rows(n: int) -> dict[str, float]:
+    from pvqc import qsim
     from pvqc.qsim.circuit import DIAGONAL_GATES, DOUBLE_GATES, PARAM_GATES, SINGLE_GATES
 
     def gate(kind, targets):
         return qsim.Gate(kind, targets, params=(0.7,) if kind in PARAM_GATES else ())
 
-    out = _chain_rows()
-    for n in QUBITS:
-        rng = random.Random(n)
-        pairs = [tuple(rng.sample(range(n), 2)) for _ in range(GATES)]
-        reps = 3 if n == 15 else 15
+    def ms(gates):
+        c = qsim.Circuit(n_qubits=n, gates=tuple(gates), output_qubit=0)
+        return _best_ms(lambda: qsim.run(c), reps)
 
-        def ms(gates):
-            c = qsim.Circuit(n_qubits=n, gates=tuple(gates), output_qubit=0)
-            return _best_ms(lambda: qsim.run(c), reps)
-
-        partners = {"CZ": [gate("CZ", p) for p in pairs],
-                    "CNOT": [gate("CNOT", p[::-1]) for p in pairs]}
-        partner_ms = {name: ms(gates) for name, gates in partners.items()}
-        for kind in SINGLE_GATES:
-            partner = "CNOT" if kind in DIAGONAL_GATES else "CZ"
-            gates = [g for p, two in zip(pairs, partners[partner])
-                     for g in (gate(kind, p[:1]), two)]
-            out[f"us_per_gate.{kind}.{n}q"] = (ms(gates) - partner_ms[partner]) / GATES * 1e3
-        for kind in DOUBLE_GATES:
-            gates = [gate(kind, p) for p in pairs]
-            out[f"us_per_gate.{kind}.{n}q"] = ms(gates) / GATES * 1e3
-
-    corpus = fixtures.accepting_corpus()
-    out["corpus_accept_prob_ms"] = _best_ms(
-        lambda: [qsim.accept_prob(c, x) for c, x in corpus], 5)
-    out["corpus_circuit_digest_ms"] = _best_ms(
-        lambda: [dvproof.circuit_digest(c) for c, _ in corpus], 15)
-    with tempfile.TemporaryDirectory() as tmp:
-        argvs = _cli_verify_argvs(corpus, Path(tmp))
-        out["corpus_verify_ms"] = _corpus_verify_ms(corpus, argvs)
-        out.update(_parse_rows(corpus))
-        out.update(_cli_rows(argvs))
-    big = qsim.random_circuit(15, 300, 15301)
-    out["random_circuit_15q_300_run_ms"] = _best_ms(lambda: qsim.run(big), 3)
+    rng = random.Random(n)
+    pairs = [tuple(rng.sample(range(n), 2)) for _ in range(GATES)]
+    reps = 3 if n == 15 else 15
+    out = {}
+    partners = {"CZ": [gate("CZ", p) for p in pairs],
+                "CNOT": [gate("CNOT", p[::-1]) for p in pairs]}
+    partner_ms = {name: ms(gates) for name, gates in partners.items()}
+    for kind in SINGLE_GATES:
+        partner = "CNOT" if kind in DIAGONAL_GATES else "CZ"
+        gates = [g for p, two in zip(pairs, partners[partner])
+                 for g in (gate(kind, p[:1]), two)]
+        out[f"us_per_gate.{kind}.{n}q"] = (ms(gates) - partner_ms[partner]) / GATES * 1e3
+    for kind in DOUBLE_GATES:
+        gates = [gate(kind, p) for p in pairs]
+        out[f"us_per_gate.{kind}.{n}q"] = ms(gates) / GATES * 1e3
     return out
 
 
-def compare(trees: list[str], rounds: int) -> dict:
+def _corpus_rows(corpus) -> dict[str, float]:
+    from pvqc import dvproof, qsim
+
+    out = {"corpus_accept_prob_ms": _best_ms(
+        lambda: [qsim.accept_prob(c, x) for c, x in corpus], 5)}
+    for n in sorted({c.n_qubits for c, _ in corpus}):
+        out[f"corpus_accept_prob_ms.{n}q"] = sum(
+            _best_ms(lambda: qsim.accept_prob(c, x), 5) for c, x in corpus if c.n_qubits == n)
+    out["corpus_circuit_digest_ms"] = _best_ms(
+        lambda: [dvproof.circuit_digest(c) for c, _ in corpus], 15)
+    return out
+
+
+@contextlib.contextmanager
+def _groups():
+    """The rows as named groups, each a call that times its rows once, in
+    output order, over one corpus and its CLI sessions, built on entry."""
+    from pvqc import fixtures, qsim
+
+    corpus = fixtures.accepting_corpus()
+    big = qsim.random_circuit(15, 300, 15301)
+    with tempfile.TemporaryDirectory() as tmp:
+        argvs = _cli_verify_argvs(corpus, Path(tmp))
+        yield {
+            "chain": _chain_rows,
+            **{f"kinds.{n}q": functools.partial(_kind_rows, n) for n in QUBITS},
+            "corpus": lambda: _corpus_rows(corpus),
+            "verify": lambda: {"corpus_verify_ms": _corpus_verify_ms(corpus, argvs)},
+            "parse": lambda: _parse_rows(corpus),
+            "cli": lambda: _cli_rows(argvs),
+            "random": lambda: {"random_circuit_15q_300_run_ms": _best_ms(lambda: qsim.run(big), 3)},
+        }
+
+
+def measure() -> dict[str, float]:
+    with _groups() as groups:
+        return {name: value for group in groups.values() for name, value in group().items()}
+
+
+def _worker() -> None:
+    """The `--trees` side of one tree: writes pvqc's file and the group
+    names as one JSON line, then the rows of each group named on a line of
+    stdin, until stdin closes."""
+    import pvqc
+
+    reply = sys.stdout
+    with contextlib.redirect_stdout(sys.stderr), _groups() as groups:
+        print(json.dumps({"pvqc_file": pvqc.__file__, "groups": list(groups)}),
+              file=reply, flush=True)
+        for line in sys.stdin:
+            print(json.dumps(groups[line.strip()]()), file=reply, flush=True)
+
+
+_WORKER = "import runpy, sys; runpy.run_path(sys.argv[1])['_worker']()"
+
+
+def compare(before: str, after: str, rounds: int) -> dict:
+    trees = (before, after)
     samples: dict[str, dict[str, list[float]]] = {t: {} for t in trees}
-    for r in range(rounds):
-        for tree in trees if r % 2 == 0 else trees[::-1]:
+    with contextlib.ExitStack() as stack:
+        workers = {}
+        for tree in trees:
             env = dict(os.environ, PYTHONPATH=tree, OMP_NUM_THREADS="1",
                        OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
-            line = subprocess.run([sys.executable, __file__], env=env, check=True,
-                                  capture_output=True, text=True).stdout
-            rows = json.loads(line)
-            where = rows.pop("pvqc_file")
-            print(f"round {r}: {tree}: {where}", file=sys.stderr)
-            if Path(tree).resolve() not in Path(where).resolve().parents:
-                sys.exit(f"pvqc was imported from {where}, not {tree}")
-            for name, value in rows.items():
-                samples[tree].setdefault(name, []).append(value)
-    return {tree: {name: _summary(v) for name, v in rows.items()}
-            for tree, rows in samples.items()}
+            workers[tree] = stack.enter_context(subprocess.Popen(
+                [sys.executable, "-c", _WORKER, __file__], env=env, text=True,
+                stdin=subprocess.PIPE, stdout=subprocess.PIPE))
+            hello = json.loads(workers[tree].stdout.readline())
+            print(f"{tree}: {hello['pvqc_file']}", file=sys.stderr)
+            if Path(tree).resolve() not in Path(hello["pvqc_file"]).resolve().parents:
+                sys.exit(f"pvqc was imported from {hello['pvqc_file']}, not {tree}")
+        turn = 0
+        for r in range(rounds):
+            print(f"round {r}", file=sys.stderr)
+            for group in hello["groups"]:
+                for tree in trees if turn % 2 == 0 else trees[::-1]:
+                    workers[tree].stdin.write(group + "\n")
+                    workers[tree].stdin.flush()
+                    for name, value in json.loads(workers[tree].stdout.readline()).items():
+                        samples[tree].setdefault(name, []).append(value)
+                turn += 1
+        for worker in workers.values():
+            worker.stdin.close()
+    ratios = {name: [a / b for a, b in zip(v, samples[before][name])]
+              for name, v in samples[after].items()}
+    return {**{tree: {name: _summary(v) for name, v in rows.items()}
+               for tree, rows in samples.items()},
+            "ratio": {name: _summary(v) for name, v in ratios.items()}}
 
 
 def _summary(v: list[float]) -> dict[str, float]:
@@ -268,11 +333,12 @@ def _summary(v: list[float]) -> dict[str, float]:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--trees", nargs="+", help="src directories to compare")
+    parser.add_argument("--trees", nargs=2, metavar=("BEFORE_SRC", "AFTER_SRC"),
+                        help="src directories to compare")
     parser.add_argument("--rounds", type=int, default=5)
     args = parser.parse_args()
     if args.trees:
-        print(json.dumps(compare(args.trees, args.rounds), indent=1))
+        print(json.dumps(compare(*args.trees, args.rounds), indent=1))
     else:
         import pvqc
         print(json.dumps({"pvqc_file": pvqc.__file__, **measure()}))

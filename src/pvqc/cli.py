@@ -13,10 +13,13 @@ import argparse
 import functools
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import compiler, dvproof, qsim, timestamp
 from .compiler import CostModel
-from .meter import MeteredClock
+
+if TYPE_CHECKING:
+    from .meter import MeteredClock
 
 EXIT_ACCEPT = 0
 EXIT_REJECT = 1
@@ -42,6 +45,8 @@ def _open_ledger(path) -> tuple[timestamp.Ledger, MeteredClock]:
     """The ledger at `path`, or an empty one if there is none, and the
     CLI's time: a clock at the tau of the ledger's last record, or 0.
     Writes nothing; the command saves the ledger after its stamp."""
+    from .meter import MeteredClock     # here, so that `pvqc verify` never loads it
+
     ledger = (timestamp.Ledger.load(path) if Path(path).exists()
               else timestamp.Ledger(timestamp.new_mac_key()))
     records = ledger.records

@@ -21,14 +21,17 @@ import math
 import secrets
 import struct
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from . import commit, dvproof, qsim, tlp
 from .commit import Commitment, Opening
 from .dvproof import DvProof, DvPublicKey, DvSecretKey, OracleToken
 from .errors import FormatError, ParameterError
-from .meter import MeteredClock
 from .timestamp import STAMP, Ledger, Stamp
 from .tlp import Puzzle, TlpPublicParams
+
+if TYPE_CHECKING:       # an annotation only, so `pvqc verify` never loads the meter
+    from .meter import MeteredClock
 
 _MAGIC = b"PVQC"
 _VERSION = 0x02

@@ -1,14 +1,19 @@
 """Statevector execution and acceptance-probability evaluation.
 
 `apply_gate` is the pure single-gate reference.  `run` and `accept_prob`
-apply a whole gate list in place on one buffer, with a kernel per gate kind,
-and cut the passes over that buffer in two ways.  A SWAP applies no kernel:
-it exchanges two entries of a logical-to-physical qubit map, and later gates
-act on the physical qubits the map names.  And one-qubit gates wait as one
-pending 2x2 matrix per qubit, which a two-qubit gate flushes only when it
-does not commute with it: a diagonal matrix passes CZ and CPHASE on either
-qubit and CNOT on its control, and an X-type one (a*I + b*X, such as X or
-RX) passes CNOT on its target.
+apply a whole gate list in place on one buffer, whose qubit order is free:
+a logical-to-physical map says where each logical qubit sits, later gates
+act on the physical qubits it names, and `run` transposes back to logical
+order once.  That cuts the passes over the buffer in three ways.  A SWAP
+applies no kernel: it exchanges two entries of the map.  One-qubit gates
+wait as one pending 2x2 matrix per qubit, which a two-qubit gate flushes
+only when it does not commute with it: a diagonal matrix passes CZ and
+CPHASE on either qubit and CNOT on its control, and an X-type one
+(a*I + b*X, such as X or RX) passes CNOT on its target.  And a flush works
+on contiguous memory.  A diagonal matrix scales the halves of the buffer in
+place.  Any other is one product: the state is copied into a scratch
+buffer with the qubit's axis in front, and one (2,2) @ (2, 2^(n-1)) product
+writes it back, which leaves the qubit in front, at physical position 0.
 """
 
 from __future__ import annotations
@@ -163,25 +168,40 @@ def _matmul_2x2(x: tuple, y: tuple) -> tuple:
 
 
 def _apply_1q(views: _Views, m: tuple, q: int) -> None:
-    """m (nested tuples) on qubit q, in place.  Diagonal m scales the
-    halves whose entry is not 1; antidiagonal m swaps them with phases."""
-    a0, a1 = views[(q, 0),], views[(q, 1),]
-    (m00, m01), (m10, m11) = m
-    if m01 == 0 and m10 == 0:
-        if m00 != 1:
-            np.multiply(a0, m00, out=a0, order="C")
-        if m11 != 1:
-            np.multiply(a1, m11, out=a1, order="C")
-    elif m00 == 0 and m11 == 0:
-        old0 = a0.copy(order="C")
-        np.multiply(a1, m01, out=a0, order="C")
-        np.multiply(old0, m10, out=a1, order="C")
-    else:
-        new0 = np.multiply(a0, m00, order="C")
-        new0 += np.multiply(a1, m01, order="C")
-        np.multiply(a1, m11, out=a1, order="C")
-        np.add(a1, np.multiply(a0, m10, order="C"), out=a1, order="C")
-        np.copyto(a0, new0)
+    """Diagonal m (nested tuples) on qubit q, in place: scales the halves
+    whose entry is not 1."""
+    for b, d in enumerate((m[0][0], m[1][1])):
+        if d != 1:
+            half = views[(q, b),]
+            np.multiply(half, d, out=half, order="C")
+
+
+class _Gathers(dict):
+    """Views of one state buffer and of a scratch buffer of its size, built
+    once per call of `_simulate`.  Keyed by a physical qubit q: the pair
+    (into scratch, from state) whose copy moves q's axis to the front.
+    `front` (scratch) and `out` (state) are both shaped (2, 2^(n-1)), the
+    operand and the output of the product that follows the copy."""
+
+    def __init__(self, state: np.ndarray):
+        super().__init__()
+        self.state, self.scratch = state, np.empty_like(state)
+        self.front, self.out = self.scratch.reshape(2, -1), state.reshape(2, -1)
+
+    def __missing__(self, q: int) -> tuple[np.ndarray, np.ndarray]:
+        pair = (self.scratch.reshape(2, 1 << q, -1),
+                self.state.reshape(1 << q, 2, -1).transpose(1, 0, 2))
+        self[q] = pair
+        return pair
+
+
+def _apply_1q_front(gathers: _Gathers, m: tuple, q: int) -> None:
+    """m (nested tuples) on physical qubit q as one product: the state is
+    copied into scratch with q's axis in front, and m times that copy is
+    written back.  The state then holds q at physical position 0, and the
+    qubits that were before q one position further on."""
+    np.copyto(*gathers[q])
+    np.matmul(np.array(m), gathers.front, out=gathers.out)
 
 
 def _apply_2q(views: _Views, g: Gate, a: int, b: int) -> None:
@@ -212,15 +232,31 @@ def _simulate(c: Circuit, basis: int) -> tuple[np.ndarray, list[int]]:
     control, an X-type one (`_is_x_type`) across a CNOT target.  A
     DENSE_UNITARY flushes all of its qubits, and the end of the circuit
     flushes the rest.  Each gate moved past commutes with it exactly, so
-    the result is the gate list's, up to rounding."""
+    the result is the gate list's, up to rounding.
+
+    A flushed matrix that is not diagonal moves its qubit to physical
+    position 0 (`_apply_1q_front`), so `phys` and the keys of `pending`
+    change, and a physical index is read again after every flush."""
     global _run_calls
     _run_calls += 1
     n = c.n_qubits
     state = np.zeros(2 ** n, dtype=complex)
     state[basis] = 1.0
-    views = _Views(state, n)
+    views, gathers = _Views(state, n), _Gathers(state)
     phys = list(range(n))
     pending: dict[int, tuple] = {}      # physical qubit -> matrix not yet applied
+
+    def flush(q: int) -> None:
+        nonlocal pending
+        m = pending.pop(q)
+        if _is_diagonal(m):
+            _apply_1q(views, m, q)
+            return
+        _apply_1q_front(gathers, m, q)
+        if q:
+            phys[:] = [0 if p == q else p + (p < q) for p in phys]
+            pending = {p + (p < q): r for p, r in pending.items()}
+
     for g in c.gates:
         kind = g.kind
         if kind in _FUSABLE:
@@ -231,24 +267,24 @@ def _simulate(c: Circuit, basis: int) -> tuple[np.ndarray, list[int]]:
             a, b = g.targets
             phys[a], phys[b] = phys[b], phys[a]
         elif kind == "DENSE_UNITARY":
+            for t in g.targets:
+                if phys[t] in pending:
+                    flush(phys[t])
             targets = tuple(phys[t] for t in g.targets)
-            for q in targets:
-                if q in pending:
-                    _apply_1q(views, pending.pop(q), q)
             if targets != g.targets:
                 g = Gate(kind, targets, matrix=g.matrix)
             state[...] = apply_gate(state, g, n)
         else:
-            a, b = phys[g.targets[0]], phys[g.targets[1]]
-            m = pending.get(a)
+            first, second = g.targets
+            m = pending.get(phys[first])
             if m is not None and not _is_diagonal(m):
-                _apply_1q(views, pending.pop(a), a)
-            m = pending.get(b)
+                flush(phys[first])
+            m = pending.get(phys[second])
             if m is not None and not (_is_x_type(m) if kind == "CNOT" else _is_diagonal(m)):
-                _apply_1q(views, pending.pop(b), b)
-            _apply_2q(views, g, a, b)
-    for q, m in pending.items():
-        _apply_1q(views, m, q)
+                flush(phys[second])
+            _apply_2q(views, g, phys[first], phys[second])
+    while pending:
+        flush(next(iter(pending)))
     return state, phys
 
 

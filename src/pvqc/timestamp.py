@@ -17,9 +17,12 @@ import secrets
 import struct
 import threading
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .errors import FormatError, ParameterError
-from .meter import MeteredClock
+
+if TYPE_CHECKING:       # an annotation only, so `pvqc verify` never loads the meter
+    from .meter import MeteredClock
 
 _DOMAIN = b"STAMPv1"
 _MAGIC = b"PVQL"

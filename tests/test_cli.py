@@ -620,7 +620,7 @@ assert cli.main({argv!r}) == cli.EXIT_ACCEPT
 assert_unloaded(*unused_by_verify)
 loaded = sorted(m for m in sys.modules if m == "pvqc" or m.startswith("pvqc."))
 assert loaded == ["pvqc", *(f"pvqc.{{m}}" for m in
-                            ("cli", "commit", "compiler", "dvproof", "errors", "meter",
+                            ("cli", "commit", "compiler", "dvproof", "errors",
                              "qsim", "qsim.circuit", "timestamp", "tlp"))], loaded
 from pvqc import fixtures
 qsim.accept_prob(*fixtures.small_accepting_circuit())

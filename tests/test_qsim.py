@@ -162,16 +162,24 @@ _SCHEDULE_KINDS = (("SWAP",) * 6 + ("CZ", "CPHASE", "CNOT") * 3
                    + ("H", "RY", "DENSE_UNITARY", "DENSE_UNITARY"))
 
 
+# Mostly one-qubit kinds that are not diagonal, so that nearly every
+# two-qubit gate flushes a pending matrix and moves its qubit to the front
+# of the layout, between SWAPs and dense gates on up to 3 qubits.
+_FRONT_KINDS = (("H", "RX", "RY", "Y", "X") * 4
+                + ("SWAP", "CNOT", "CZ", "CPHASE", "DENSE_UNITARY"))
+
+
 @st.composite
-def _circuit_and_bits(draw, kinds=_ALL_KINDS, min_qubits=1):
-    """min_qubits-10 qubits; gates drawn from `kinds` (repeats weight a
-    kind), 2-qubit targets in either order, DENSE_UNITARY on 1-2 qubits."""
-    n = draw(st.integers(min_qubits, 10))
+def _circuit_and_bits(draw, kinds=_ALL_KINDS, min_qubits=1, max_qubits=10, max_dense=2):
+    """min_qubits-max_qubits qubits; gates drawn from `kinds` (repeats
+    weight a kind), 2-qubit targets in either order, DENSE_UNITARY on
+    1-max_dense qubits."""
+    n = draw(st.integers(min_qubits, max_qubits))
     kinds = [k for k in kinds if GATE_ARITY.get(k, 1) <= n]
     gates = []
     for _ in range(draw(st.integers(0, 40))):
         kind = draw(st.sampled_from(kinds))
-        arity = (draw(st.integers(1, min(2, n))) if kind == "DENSE_UNITARY"
+        arity = (draw(st.integers(1, min(max_dense, n))) if kind == "DENSE_UNITARY"
                  else GATE_ARITY[kind])
         targets = tuple(draw(st.permutations(range(n)))[:arity])
         if kind == "DENSE_UNITARY":
@@ -224,21 +232,38 @@ def test_relabel_and_commuting_schedule_match_reference_fold(case):
     _assert_matches_reference_fold(*case)
 
 
-def _kernel_calls(monkeypatch, c):
-    """The kernels `qsim.run(c)` applies, in order: ("1q", physical qubit)
-    for a flushed one-qubit matrix, the gate kind for a two-qubit gate."""
-    calls = []
-    apply_1q, apply_2q = simulator._apply_1q, simulator._apply_2q
+@settings(max_examples=200, deadline=None)
+@given(case=_circuit_and_bits(_FRONT_KINDS, min_qubits=2, max_qubits=8, max_dense=3))
+def test_front_flushes_match_reference_fold(case):
+    # Each such flush leaves its qubit at physical position 0 and moves the
+    # qubits before it on by one; the gates after it, `run`'s transpose and
+    # `accept_prob`'s marginal must all read the map it left.
+    _assert_matches_reference_fold(*case)
 
-    def one(views, m, q):
+
+def _kernel_calls(monkeypatch, c):
+    """The kernels `qsim.run(c)` applies, in order: ("1q", q) for a flushed
+    one-qubit matrix, q the physical qubit it acts on, and the gate kind for
+    a two-qubit gate.  A flushed matrix that is not diagonal leaves its
+    qubit at physical position 0 and moves the qubits before it on by one."""
+    calls = []
+    apply_1q, apply_1q_front = simulator._apply_1q, simulator._apply_1q_front
+    apply_2q = simulator._apply_2q
+
+    def diagonal(views, m, q):
         calls.append(("1q", q))
         apply_1q(views, m, q)
+
+    def front(gathers, m, q):
+        calls.append(("1q", q))
+        apply_1q_front(gathers, m, q)
 
     def two(views, g, a, b):
         calls.append(g.kind)
         apply_2q(views, g, a, b)
 
-    monkeypatch.setattr(simulator, "_apply_1q", one)
+    monkeypatch.setattr(simulator, "_apply_1q", diagonal)
+    monkeypatch.setattr(simulator, "_apply_1q_front", front)
     monkeypatch.setattr(simulator, "_apply_2q", two)
     assert np.abs(qsim.run(c) - _reference_run(c, c.gates)).max() <= 1e-12
     return calls
@@ -251,18 +276,30 @@ _H01 = (Gate("H", (0,)), Gate("H", (1,)))
     # SWAPs only relabel qubits.
     ((Gate("SWAP", (0, 1)), Gate("SWAP", (1, 2)), Gate("SWAP", (0, 2))), []),
     # Diagonal pendings pass CZ and CPHASE on either qubit and a CNOT
-    # control; S on qubit 1 is flushed by the CNOT that targets it.
+    # control; S on qubit 1 is flushed by the CNOT that targets it.  The
+    # flush of H on qubit 1 puts qubit 1 at physical 0 and qubit 0 at 1.
     ((*_H01, Gate("CZ", (0, 1)), Gate("T", (0,)), Gate("CZ", (0, 1)), Gate("S", (1,)),
       Gate("CPHASE", (1, 0), params=(0.4,)), Gate("RZ", (0,), params=(0.3,)),
       Gate("CNOT", (0, 1)), Gate("PHASE", (0,), params=(1.1,))),
-     [("1q", 0), ("1q", 1), "CZ", "CZ", "CPHASE", ("1q", 1), "CNOT", ("1q", 0)]),
+     [("1q", 0), ("1q", 1), "CZ", "CZ", "CPHASE", ("1q", 0), "CNOT", ("1q", 1)]),
     # RX and X pass a CNOT target.
     ((Gate("H", (0,)), Gate("RX", (1,), params=(0.6,)), Gate("CNOT", (0, 1)),
       Gate("X", (1,)), Gate("CNOT", (0, 1))),
      [("1q", 0), "CNOT", "CNOT", ("1q", 1)]),
-    # H commutes with no two-qubit gate, so CZ flushes it.
-    ((*_H01, Gate("CZ", (0, 1)), Gate("H", (0,))), [("1q", 0), ("1q", 1), "CZ", ("1q", 0)]),
-], ids=["swap-only", "diagonal-passes", "x-type-passes-cnot-target", "h-flushed"])
+    # H commutes with no two-qubit gate, so CZ flushes it; qubit 0 then
+    # sits at physical 1.
+    ((*_H01, Gate("CZ", (0, 1)), Gate("H", (0,))), [("1q", 0), ("1q", 1), "CZ", ("1q", 1)]),
+    # The flush of H on the CNOT's control, qubit 2, moves its target,
+    # qubit 1, from physical 1 to 2, where its own H is then flushed.
+    ((Gate("H", (2,)), Gate("H", (1,)), Gate("CNOT", (2, 1))),
+     [("1q", 2), ("1q", 2), "CNOT"]),
+    # The flush of H on qubit 1 moves qubit 0, whose S stays pending across
+    # it, from physical 0 to 1, and S follows it there.
+    ((Gate("H", (0,)), Gate("CZ", (0, 1)), Gate("S", (0,)), Gate("H", (1,)),
+      Gate("CNOT", (1, 2))),
+     [("1q", 0), "CZ", ("1q", 1), "CNOT", ("1q", 1)]),
+], ids=["swap-only", "diagonal-passes", "x-type-passes-cnot-target", "h-flushed",
+        "flush-moves-second-target", "flush-moves-pending-diagonal"])
 def test_schedule_applies_only_the_kernels_it_must(monkeypatch, gates, expected):
     c = qsim.Circuit(n_qubits=3, gates=gates, output_qubit=2)
     assert _kernel_calls(monkeypatch, c) == expected
