@@ -34,7 +34,8 @@ the CLI sessions below.
 Parse rows: `corpus_parse_ms` is `qsim.circuit_from_text` of the 20 corpus
 texts in the measuring process, after earlier parses, and
 `corpus_parse_first_ms` the best time of the same 20 parses as the first
-in a fresh interpreter, before any gate line has been seen.
+in a fresh interpreter (pvqc compiled from source, see below), before any
+gate line has been seen.
 
 Chain rows: the steps/s of CHAIN_STEPS chain steps, best of CHAIN_REPS
 interleaved repetitions, at three layers: `chain_raw_steps_per_s` a bare
@@ -47,9 +48,19 @@ two within the run.
 CLI rows: `corpus_cli_verify_ms` is `cli.main(["verify", ...])` in-process
 over the same 20 statements, on session files written by `pvqc setup`,
 `prove` and `reveal` before timing starts.  `cold_cli_verify_ms` is the
-best wall time of a fresh `python -m pvqc.cli verify` on statement 17, and
+best wall time of a fresh `python -m pvqc.cli verify` on statement 17,
 `import_pvqc_ms` the best time of `import pvqc` in a fresh interpreter,
-both with PYTHONPATH set to the measured tree.
+and `python_pass_ms` the best wall time of a fresh `python -c pass`, the
+floor of any cold command.
+
+Every fresh interpreter has PYTHONPATH set to the measured tree and its
+own bytecode cache (PYTHONPYCACHEPREFIX), which starts empty and is filled
+by one untimed run of the same command.  In `cold_cli_verify_ms` and
+`import_pvqc_ms` pvqc then compiles from source while the standard
+library loads from the cache: the state of a fresh checkout, and of a run
+under PYTHONDONTWRITEBYTECODE on a tree without `__pycache__`, which is
+what `perfbench`'s import probe measures.  The `_cached` rows load pvqc
+from the cache too, as a second run does for a user.
 """
 
 from __future__ import annotations
@@ -62,6 +73,7 @@ import io
 import json
 import os
 import random
+import shutil
 import statistics
 import struct
 import subprocess
@@ -114,13 +126,28 @@ def _cli_verify_argvs(corpus, root: Path) -> list[list[str]]:
     return argvs
 
 
-def _fresh(*args) -> str:
-    """Stdout of a fresh interpreter with the measured pvqc on its path."""
+def _fresh(pycache: Path, args, cached: bool) -> list[tuple[float, str]]:
+    """(wall seconds, stdout) of COLD_REPS fresh interpreters running
+    `args` with the measured pvqc on their path and `pycache` as their
+    bytecode cache, after one untimed run that fills it.  Unless `cached`,
+    pvqc's entries are then dropped and the timed runs write none, so pvqc
+    compiles from source in each."""
     import pvqc
 
-    env = dict(os.environ, PYTHONPATH=str(Path(pvqc.__file__).resolve().parents[1]))
-    return subprocess.run([sys.executable, *args], env=env, check=True,
-                          capture_output=True, text=True).stdout
+    tree = Path(pvqc.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(tree), PYTHONPYCACHEPREFIX=str(pycache))
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    subprocess.run([sys.executable, *args], env=env, check=True, capture_output=True)
+    if not cached:
+        env["PYTHONDONTWRITEBYTECODE"] = "1"
+        shutil.rmtree(pycache / tree.relative_to(tree.anchor), ignore_errors=True)
+    runs = []
+    for _ in range(COLD_REPS):
+        start = time.perf_counter()
+        out = subprocess.run([sys.executable, *args], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        runs.append((time.perf_counter() - start, out))
+    return runs
 
 
 _FIRST_PARSE = """import sys, time
@@ -134,7 +161,7 @@ print(time.perf_counter() - t)
 """
 
 
-def _parse_rows(corpus) -> dict[str, float]:
+def _parse_rows(corpus, pycache: Path) -> dict[str, float]:
     from pvqc import qsim
 
     texts = [qsim.circuit_to_text(c) for c, _ in corpus]
@@ -144,9 +171,8 @@ def _parse_rows(corpus) -> dict[str, float]:
         paths = [Path(tmp) / f"{i}.txt" for i in range(len(texts))]
         for path, text in zip(paths, texts):
             path.write_text(text)
-        first = [float(_fresh("-c", _FIRST_PARSE, *map(str, paths)))
-                 for _ in range(COLD_REPS)]
-    out["corpus_parse_first_ms"] = min(first) * 1e3
+        first = _fresh(pycache, ["-c", _FIRST_PARSE, *map(str, paths)], cached=False)
+    out["corpus_parse_first_ms"] = min(float(t) for _, t in first) * 1e3
     return out
 
 
@@ -166,18 +192,24 @@ def _corpus_verify_ms(corpus, argvs) -> float:
     return _best_ms(lambda: [compiler.vc_verify_explain(*s) for s in sessions], 15)
 
 
-def _cli_rows(argvs) -> dict[str, float]:
+_IMPORT = "import time; t = time.perf_counter(); import pvqc; print(time.perf_counter() - t)"
+
+
+def _cli_rows(argvs, pycache: Path) -> dict[str, float]:
     from pvqc import cli
 
     def verify_all():
         with contextlib.redirect_stdout(io.StringIO()):
             return [cli.main(argv) for argv in argvs]
 
-    out = {"corpus_cli_verify_ms": _best_ms(verify_all, 15),
-           "cold_cli_verify_ms": _best_ms(
-               lambda: _fresh("-m", "pvqc.cli", *argvs[COLD_STATEMENT]), COLD_REPS)}
-    code = "import time; t = time.perf_counter(); import pvqc; print(time.perf_counter() - t)"
-    out["import_pvqc_ms"] = min(float(_fresh("-c", code)) for _ in range(COLD_REPS)) * 1e3
+    out = {"corpus_cli_verify_ms": _best_ms(verify_all, 15)}
+    for cached, suffix in ((False, ""), (True, "_cached")):
+        verify = _fresh(pycache, ["-m", "pvqc.cli", *argvs[COLD_STATEMENT]], cached)
+        out[f"cold_cli_verify{suffix}_ms"] = min(wall for wall, _ in verify) * 1e3
+        imports = _fresh(pycache, ["-c", _IMPORT], cached)
+        out[f"import_pvqc{suffix}_ms"] = min(float(t) for _, t in imports) * 1e3
+    out["python_pass_ms"] = min(
+        wall for wall, _ in _fresh(pycache, ["-c", "pass"], cached=True)) * 1e3
     return out
 
 
@@ -257,13 +289,14 @@ def _groups():
     big = qsim.random_circuit(15, 300, 15301)
     with tempfile.TemporaryDirectory() as tmp:
         argvs = _cli_verify_argvs(corpus, Path(tmp))
+        pycache = Path(tmp) / "pycache"
         yield {
             "chain": _chain_rows,
             **{f"kinds.{n}q": functools.partial(_kind_rows, n) for n in QUBITS},
             "corpus": lambda: _corpus_rows(corpus),
             "verify": lambda: {"corpus_verify_ms": _corpus_verify_ms(corpus, argvs)},
-            "parse": lambda: _parse_rows(corpus),
-            "cli": lambda: _cli_rows(argvs),
+            "parse": lambda: _parse_rows(corpus, pycache),
+            "cli": lambda: _cli_rows(argvs, pycache),
             "random": lambda: {"random_circuit_15q_300_run_ms": _best_ms(lambda: qsim.run(big), 3)},
         }
 

@@ -10,9 +10,9 @@ from __future__ import annotations
 import hashlib
 import hmac
 import struct
-from dataclasses import dataclass
 
 from .errors import ParameterError
+from .record import Record, setfield
 
 _DOMAIN = b"COMMITv1"
 
@@ -20,25 +20,25 @@ RAND_LEN = 32
 DIGEST_LEN = 32
 
 
-@dataclass(frozen=True)
-class Commitment:
-    digest: bytes
+class Commitment(Record):
+    __slots__ = ("digest",)
 
-    def __post_init__(self):
-        if len(self.digest) != DIGEST_LEN:
+    def __init__(self, digest: bytes):
+        if len(digest) != DIGEST_LEN:
             raise ParameterError("digest must be 32 bytes")
+        setfield(self, "digest", digest)
 
 
-@dataclass(frozen=True)
-class Opening:
+class Opening(Record):
     """Committed message (the verification key) plus its randomness."""
 
-    sk_bytes: bytes
-    r: bytes
+    __slots__ = ("sk_bytes", "r")
 
-    def __post_init__(self):
-        if len(self.r) != RAND_LEN:
+    def __init__(self, sk_bytes: bytes, r: bytes):
+        if len(r) != RAND_LEN:
             raise ParameterError("opening randomness must be 32 bytes")
+        setfield(self, "sk_bytes", sk_bytes)
+        setfield(self, "r", r)
 
 
 def commit(m: bytes, r: bytes) -> Commitment:

@@ -20,13 +20,13 @@ from __future__ import annotations
 import math
 import secrets
 import struct
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from . import commit, dvproof, qsim, tlp
 from .commit import Commitment, Opening
 from .dvproof import DvProof, DvPublicKey, DvSecretKey, OracleToken
 from .errors import FormatError, ParameterError
+from .record import Record, setfield
 from .timestamp import STAMP, Ledger, Stamp
 from .tlp import Puzzle, TlpPublicParams
 
@@ -54,20 +54,20 @@ REJECT_CLAIMED_BIT = "claimed_bit"
 REJECT_MAC_TAG = "mac_tag"
 
 
-@dataclass(frozen=True)
-class CostModel:
+class CostModel(Record):
     """Charged cost T of computing the circuit plus its proof, in logical
     step units, and the deadline exponent."""
 
-    t_units: int
-    epsilon: float = DEFAULT_EPSILON
+    __slots__ = ("t_units", "epsilon")
 
-    def __post_init__(self):
+    def __init__(self, t_units: int, epsilon: float = DEFAULT_EPSILON):
         # An int, so no float (nan and inf among them) reaches the clock.
-        if not isinstance(self.t_units, int) or self.t_units < 1:
+        if not isinstance(t_units, int) or t_units < 1:
             raise ParameterError("t_units must be an int >= 1")
-        if not 0 < self.epsilon < math.inf:
+        if not 0 < epsilon < math.inf:
             raise ParameterError("epsilon must be finite and > 0")
+        setfield(self, "t_units", t_units)
+        setfield(self, "epsilon", epsilon)
 
     @classmethod
     def from_circuit(cls, c: qsim.Circuit, epsilon: float = DEFAULT_EPSILON
@@ -79,12 +79,15 @@ class CostModel:
         return tlp.calibrate_mu(self.t_units, self.epsilon, 1.0)
 
 
-@dataclass(frozen=True)
-class Crs:
-    tpk: TlpPublicParams
-    pk: DvPublicKey
-    puzzle: Puzzle
-    commitment: Commitment
+class Crs(Record):
+    __slots__ = ("tpk", "pk", "puzzle", "commitment")
+
+    def __init__(self, tpk: TlpPublicParams, pk: DvPublicKey, puzzle: Puzzle,
+                 commitment: Commitment):
+        setfield(self, "tpk", tpk)
+        setfield(self, "pk", pk)
+        setfield(self, "puzzle", puzzle)
+        setfield(self, "commitment", commitment)
 
     @property
     def delta(self) -> int:
@@ -92,13 +95,15 @@ class Crs:
         return self.tpk.mu
 
 
-@dataclass(frozen=True)
-class TimestampedProof:
+class TimestampedProof(Record):
     """A backend proof and its ledger stamp; `Stamp` checks tau >= 0 and a
     32-byte tag when it is built."""
 
-    proof: DvProof
-    stamp: Stamp
+    __slots__ = ("proof", "stamp")
+
+    def __init__(self, proof: DvProof, stamp: Stamp):
+        setfield(self, "proof", proof)
+        setfield(self, "stamp", stamp)
 
 
 def vc_setup(lam: int, c: qsim.Circuit, x, cost: CostModel

@@ -17,9 +17,9 @@ from __future__ import annotations
 import hashlib
 import hmac
 import secrets
-from dataclasses import dataclass
 
 from .errors import FormatError, ParameterError, ProofRefused
+from .record import Record, setfield
 from . import qsim
 
 _PROOF_DOMAIN = b"DVPROOFv1"
@@ -34,52 +34,52 @@ KEY_LEN = 32    # MAC key bytes; the token record holds exactly this many
 NONCE_LEN = 16  # session nonce bytes, in the public key and the token
 
 
-@dataclass(frozen=True)
-class DvPublicKey:
-    circuit_digest: bytes
-    input_digest: bytes
-    session_nonce: bytes
+class DvPublicKey(Record):
+    __slots__ = ("circuit_digest", "input_digest", "session_nonce")
 
-    def __post_init__(self):
-        if len(self.circuit_digest) != 32 or len(self.input_digest) != 32:
+    def __init__(self, circuit_digest: bytes, input_digest: bytes, session_nonce: bytes):
+        if len(circuit_digest) != 32 or len(input_digest) != 32:
             raise ParameterError("digests must be 32 bytes")
-        if len(self.session_nonce) != NONCE_LEN:
+        if len(session_nonce) != NONCE_LEN:
             raise ParameterError(f"session nonce must be {NONCE_LEN} bytes")
+        setfield(self, "circuit_digest", circuit_digest)
+        setfield(self, "input_digest", input_digest)
+        setfield(self, "session_nonce", session_nonce)
 
 
-@dataclass(frozen=True)
-class DvSecretKey:
-    mac_key: bytes
+class DvSecretKey(Record):
+    __slots__ = ("mac_key",)
 
-    def __post_init__(self):
-        if not self.mac_key:
+    def __init__(self, mac_key: bytes):
+        if not mac_key:
             raise ParameterError("empty mac key")
+        setfield(self, "mac_key", mac_key)
 
 
-@dataclass(frozen=True)
-class DvProof:
-    claimed_bit: int
-    tag: bytes
+class DvProof(Record):
+    __slots__ = ("claimed_bit", "tag")
 
-    def __post_init__(self):
-        if self.claimed_bit not in (0, 1):
+    def __init__(self, claimed_bit: int, tag: bytes):
+        if claimed_bit not in (0, 1):
             raise ParameterError("claimed bit must be 0 or 1")
-        if len(self.tag) != 32:
+        if len(tag) != 32:
             raise ParameterError("tag must be 32 bytes")
+        setfield(self, "claimed_bit", claimed_bit)
+        setfield(self, "tag", tag)
 
 
-@dataclass(frozen=True)
-class OracleToken:
+class OracleToken(Record):
     """Capability held by the honest prover role; see module docstring."""
 
-    mac_key: bytes
-    session_nonce: bytes
+    __slots__ = ("mac_key", "session_nonce")
 
-    def __post_init__(self):
-        if len(self.mac_key) != KEY_LEN:
+    def __init__(self, mac_key: bytes, session_nonce: bytes):
+        if len(mac_key) != KEY_LEN:
             raise ParameterError(f"oracle token requires a {KEY_LEN}-byte key")
-        if len(self.session_nonce) != NONCE_LEN:
+        if len(session_nonce) != NONCE_LEN:
             raise ParameterError(f"session nonce must be {NONCE_LEN} bytes")
+        setfield(self, "mac_key", mac_key)
+        setfield(self, "session_nonce", session_nonce)
 
 
 def circuit_digest(c: qsim.Circuit) -> bytes:

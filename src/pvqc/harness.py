@@ -22,7 +22,6 @@ token, which only the honest branch of run_trial holds.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from . import commit, dvproof, qsim
 from .commit import Opening
@@ -32,6 +31,7 @@ from .compiler import (DEFAULT_LAMBDA, CostModel, Crs, TimestampedProof,
 from .dvproof import DvSecretKey
 from .errors import ParameterError, ProofRefused
 from .meter import MeteredClock
+from .record import Record, setfield
 from .timestamp import Ledger, new_mac_key
 
 HONEST = "HONEST"
@@ -41,23 +41,26 @@ A3_ALT_OPENING = "A3_ALT_OPENING"
 A4_RANDOM_TAG = "A4_RANDOM_TAG"
 
 
-@dataclass(frozen=True)
-class AdversarySpec:
-    strategy: str
+class AdversarySpec(Record):
+    __slots__ = ("strategy",)
 
-    def __post_init__(self):
-        if self.strategy not in STRATEGIES:
-            raise ParameterError(f"unknown strategy {self.strategy!r}")
+    def __init__(self, strategy: str):
+        if strategy not in STRATEGIES:
+            raise ParameterError(f"unknown strategy {strategy!r}")
+        setfield(self, "strategy", strategy)
 
 
-@dataclass(frozen=True)
-class ExperimentReport:
-    b1: int
-    b2: int
-    c_of_x: int
-    y_matches_sk: int
-    tau: int | None
-    steps_used: int
+class ExperimentReport(Record):
+    __slots__ = ("b1", "b2", "c_of_x", "y_matches_sk", "tau", "steps_used")
+
+    def __init__(self, b1: int, b2: int, c_of_x: int, y_matches_sk: int,
+                 tau: int | None, steps_used: int):
+        setfield(self, "b1", b1)
+        setfield(self, "b2", b2)
+        setfield(self, "c_of_x", c_of_x)
+        setfield(self, "y_matches_sk", y_matches_sk)
+        setfield(self, "tau", tau)
+        setfield(self, "steps_used", steps_used)
 
     @property
     def win(self) -> int:
@@ -65,15 +68,25 @@ class ExperimentReport:
                    and (not self.c_of_x or not self.y_matches_sk))
 
 
-@dataclass
-class AggregateReport:
-    strategy: str
-    trials: int
-    wins: int
-    seed: int
-    mean_tau: float
-    mean_steps: float
-    rejection_sites: dict[str, int]
+class AggregateReport(Record):
+    """The one mutable record: its fields may be reassigned, so it has no
+    hash."""
+
+    __slots__ = ("strategy", "trials", "wins", "seed", "mean_tau", "mean_steps",
+                 "rejection_sites")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, strategy: str, trials: int, wins: int, seed: int,
+                 mean_tau: float, mean_steps: float, rejection_sites: dict[str, int]):
+        self.strategy = strategy
+        self.trials = trials
+        self.wins = wins
+        self.seed = seed
+        self.mean_tau = mean_tau
+        self.mean_steps = mean_steps
+        self.rejection_sites = rejection_sites
 
     def to_text(self) -> str:
         sites = ",".join(f"{k}:{v}" for k, v in sorted(self.rejection_sites.items()))

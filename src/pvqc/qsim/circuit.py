@@ -15,11 +15,11 @@ from __future__ import annotations
 import struct
 import sys
 from array import array
-from dataclasses import dataclass, field
 from itertools import islice, permutations
 from typing import TYPE_CHECKING
 
 from ..errors import FormatError, ParameterError
+from ..record import Record, setfield
 
 if TYPE_CHECKING:
     import numpy as np
@@ -38,65 +38,70 @@ GATE_ARITY = {**{k: 1 for k in SINGLE_GATES}, **{k: 2 for k in DOUBLE_GATES}}
 _GATE_SHAPE = {k: (a, int(k in PARAM_GATES)) for k, a in GATE_ARITY.items()}
 
 
-@dataclass(frozen=True)
-class Gate:
-    kind: str
-    targets: tuple[int, ...]
-    params: tuple[float, ...] = ()
-    matrix: np.ndarray | None = field(default=None, compare=False)
+class Gate(Record):
+    """One gate.  Targets and params become tuples; a DENSE_UNITARY matrix
+    becomes a complex array, and equality and the hash ignore it."""
 
-    def __post_init__(self):
-        targets, params = self.targets, self.params
+    __slots__ = ("kind", "targets", "params", "matrix")
+    _uncompared = ("matrix",)
+
+    def __init__(self, kind: str, targets: tuple[int, ...], params: tuple[float, ...] = (),
+                 matrix: np.ndarray | None = None):
         if type(targets) is not tuple:
             targets = tuple(targets)
-            object.__setattr__(self, "targets", targets)
         if type(params) is not tuple:
             params = tuple(params)
-            object.__setattr__(self, "params", params)
         if len(set(targets)) != len(targets):
             raise ParameterError("duplicate gate targets")
-        shape = _GATE_SHAPE.get(self.kind)
+        shape = _GATE_SHAPE.get(kind)
         if shape == (len(targets), len(params)):
-            return
-        if self.kind == "DENSE_UNITARY":
-            if self.matrix is None:
+            pass
+        elif kind == "DENSE_UNITARY":
+            if matrix is None:
                 raise ParameterError("DENSE_UNITARY requires a matrix")
             import numpy as np      # only dense gates need numpy
             dim = 2 ** len(targets)
-            mat = np.asarray(self.matrix, dtype=complex)
-            if mat.shape != (dim, dim):
+            matrix = np.asarray(matrix, dtype=complex)
+            if matrix.shape != (dim, dim):
                 raise ParameterError("matrix shape does not match target count")
             if params:
                 raise ParameterError("wrong parameter count for DENSE_UNITARY")
-            object.__setattr__(self, "matrix", mat)
         elif shape is None:
-            raise ParameterError(f"unknown gate kind {self.kind!r}")
+            raise ParameterError(f"unknown gate kind {kind!r}")
         elif len(targets) != shape[0]:
-            raise ParameterError(f"{self.kind} takes {shape[0]} targets")
+            raise ParameterError(f"{kind} takes {shape[0]} targets")
         else:
-            raise ParameterError(f"wrong parameter count for {self.kind}")
+            raise ParameterError(f"wrong parameter count for {kind}")
+        setfield(self, "kind", kind)
+        setfield(self, "targets", targets)
+        setfield(self, "params", params)
+        setfield(self, "matrix", matrix)
 
 
-@dataclass(frozen=True)
-class Circuit:
-    n_qubits: int
-    gates: tuple[Gate, ...]
-    output_qubit: int
-    n_inputs: int | None = None
+class Circuit(Record):
+    """A statement's circuit.  Gates become a tuple, and `n_inputs`
+    defaults to `n_qubits`."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "gates", tuple(self.gates))
-        if not 1 <= self.n_qubits <= MAX_QUBITS:
+    __slots__ = ("n_qubits", "gates", "output_qubit", "n_inputs")
+
+    def __init__(self, n_qubits: int, gates: tuple[Gate, ...], output_qubit: int,
+                 n_inputs: int | None = None):
+        gates = tuple(gates)
+        if not 1 <= n_qubits <= MAX_QUBITS:
             raise ParameterError(f"n_qubits must be in [1, {MAX_QUBITS}]")
-        if not 0 <= self.output_qubit < self.n_qubits:
+        if not 0 <= output_qubit < n_qubits:
             raise ParameterError("output_qubit out of range")
-        if self.n_inputs is None:
-            object.__setattr__(self, "n_inputs", self.n_qubits)
-        elif not 0 <= self.n_inputs <= self.n_qubits:
+        if n_inputs is None:
+            n_inputs = n_qubits
+        elif not 0 <= n_inputs <= n_qubits:
             raise ParameterError("n_inputs out of range")
-        targets = [t for g in self.gates for t in g.targets]
-        if targets and (min(targets) < 0 or max(targets) >= self.n_qubits):
+        targets = [t for g in gates for t in g.targets]
+        if targets and (min(targets) < 0 or max(targets) >= n_qubits):
             raise ParameterError("gate target out of range")
+        setfield(self, "n_qubits", n_qubits)
+        setfield(self, "gates", gates)
+        setfield(self, "output_qubit", output_qubit)
+        setfield(self, "n_inputs", n_inputs)
 
 
 def gate_weight(g: Gate) -> int:
@@ -161,12 +166,27 @@ class _DenseOps(dict):
         return bytes([_DENSE_CODE, len(targets), *targets])
 
 
+class _UnbuiltOps(dict):
+    """Holds a fixed-arity kind's place in `_GATE_BYTES` until the kind's
+    first lookup, which builds its table and puts it in that place."""
+
+    def __init__(self, kind: str):
+        super().__init__()
+        self.kind = kind
+
+    def __missing__(self, targets):
+        kind = self.kind
+        table = _GATE_BYTES[kind] = {
+            t: bytes([_KIND_CODE[kind], *t])
+            for t in permutations(range(MAX_QUBITS), GATE_ARITY[kind])}
+        return table[targets]
+
+
 # The op bytes (kind code, then one byte per target) of every fixed-arity
-# gate, keyed by kind and then by targets, built once.  Nesting the two
-# keys saves building a (kind, targets) tuple per gate.
-_GATE_BYTES = {kind: {t: bytes([_KIND_CODE[kind], *t])
-                      for t in permutations(range(MAX_QUBITS), arity)}
-               for kind, arity in GATE_ARITY.items()}
+# gate, keyed by kind and then by targets; each kind's table is a plain
+# dict, built on first use.  Nesting the two keys saves building a (kind,
+# targets) tuple per gate.
+_GATE_BYTES = {kind: _UnbuiltOps(kind) for kind in GATE_ARITY}
 _GATE_BYTES["DENSE_UNITARY"] = _DenseOps()
 
 # n_qubits, output_qubit and n_inputs fit a byte each (MAX_QUBITS < 256).

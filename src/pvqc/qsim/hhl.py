@@ -13,11 +13,11 @@ estimate j / 2^m in two's complement (negative eigenvalues supported).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..errors import ParameterError
+from ..record import Record, setfield
 from .circuit import MAX_QUBITS, Circuit, Gate
 from .simulator import run
 
@@ -29,16 +29,16 @@ POSTSELECT_TOL = 1e-12
 DEFAULT_CLOCK_QUBITS = 6
 
 
-@dataclass(frozen=True)
-class HhlInstance:
-    a: np.ndarray                 # N x N Hermitian matrix
-    b: np.ndarray                 # normalized length-N vector
-    clock_qubits: int = DEFAULT_CLOCK_QUBITS
-    evolution_time: float = field(init=False)   # default_evolution_time(a)
+class HhlInstance(Record):
+    __slots__ = ("a",                 # N x N Hermitian matrix
+                 "b",                 # normalized length-N vector
+                 "clock_qubits",
+                 "evolution_time")    # default_evolution_time(a), not an argument
 
-    def __post_init__(self):
-        a = np.asarray(self.a, dtype=complex)
-        b = np.asarray(self.b, dtype=complex)
+    def __init__(self, a: np.ndarray, b: np.ndarray,
+                 clock_qubits: int = DEFAULT_CLOCK_QUBITS):
+        a = np.asarray(a, dtype=complex)
+        b = np.asarray(b, dtype=complex)
         n = a.shape[0]
         if a.shape != (n, n) or n < 2 or (n & (n - 1)) != 0:
             raise ParameterError("A must be square with power-of-two size >= 2")
@@ -51,13 +51,14 @@ class HhlInstance:
             raise ParameterError("A is not Hermitian")
         if abs(np.linalg.norm(b) - 1.0) > NORM_TOL:
             raise ParameterError("b is not normalized")
-        if self.clock_qubits < 1:
+        if clock_qubits < 1:
             raise ParameterError("need at least one clock qubit")
-        if n.bit_length() + self.clock_qubits > MAX_QUBITS:    # log2(n) + clock + ancilla
+        if n.bit_length() + clock_qubits > MAX_QUBITS:    # log2(n) + clock + ancilla
             raise ParameterError(f"the HHL register must fit in {MAX_QUBITS} qubits")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "evolution_time", default_evolution_time(a))
+        setfield(self, "a", a)
+        setfield(self, "b", b)
+        setfield(self, "clock_qubits", clock_qubits)
+        setfield(self, "evolution_time", default_evolution_time(a))
 
     @property
     def n(self) -> int:

@@ -16,10 +16,10 @@ import os
 import secrets
 import struct
 import threading
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import FormatError, ParameterError
+from .record import Record, setfield
 
 if TYPE_CHECKING:       # an annotation only, so `pvqc verify` never loads the meter
     from .meter import MeteredClock
@@ -31,16 +31,16 @@ STAMP = struct.Struct(">Q32s")          # u64be tau | tag
 _RECORD = struct.Struct(">32s" + STAMP.format[1:])     # digest | stamp
 
 
-@dataclass(frozen=True)
-class Stamp:
-    tau: int
-    auth_tag: bytes
+class Stamp(Record):
+    __slots__ = ("tau", "auth_tag")
 
-    def __post_init__(self):
-        if self.tau < 0:
+    def __init__(self, tau: int, auth_tag: bytes):
+        if tau < 0:
             raise ParameterError("tau must be non-negative")
-        if len(self.auth_tag) != 32:
+        if len(auth_tag) != 32:
             raise ParameterError("auth tag must be 32 bytes")
+        setfield(self, "tau", tau)
+        setfield(self, "auth_tag", auth_tag)
 
 
 def new_mac_key() -> bytes:

@@ -28,9 +28,9 @@ import hmac
 import math
 import secrets
 import struct
-from dataclasses import dataclass
 
 from .errors import FormatError, ParameterError
+from .record import Record, setfield
 
 _CHAIN_DOMAIN = b"TLPCHAINv1"
 _KEY_DOMAIN = b"TLPKEYv1"
@@ -56,40 +56,43 @@ def chain_calls() -> int:
     return _chain_calls
 
 
-@dataclass(frozen=True)
-class TlpPublicParams:
-    seed: bytes          # chain start s0, 32 bytes
-    mu: int              # sequential steps to the key: the deadline delta
+class TlpPublicParams(Record):
+    __slots__ = ("seed",     # chain start s0, 32 bytes
+                 "mu")       # sequential steps to the key: the deadline delta
 
-    def __post_init__(self):
-        if len(self.seed) != 32:
+    def __init__(self, seed: bytes, mu: int):
+        if len(seed) != 32:
             raise ParameterError("seed must be 32 bytes")
-        if self.mu < 1:
+        if mu < 1:
             raise ParameterError("mu must be >= 1")
-        if self.mu > MAX_MU:
+        if mu > MAX_MU:
             raise ParameterError("mu must be < 2**64: a CRS record stores it as a u64")
+        setfield(self, "seed", seed)
+        setfield(self, "mu", mu)
 
 
-@dataclass(frozen=True)
-class TlpSecretParams:
-    key: bytes           # batch key derived from the chain endpoint
+class TlpSecretParams(Record):
+    __slots__ = ("key",)     # batch key derived from the chain endpoint
 
-    def __post_init__(self):
-        if len(self.key) != 32:
+    def __init__(self, key: bytes):
+        if len(key) != 32:
             raise ParameterError("key must be 32 bytes")
+        setfield(self, "key", key)
 
 
-@dataclass(frozen=True)
-class Puzzle:
-    nonce: bytes         # 16 bytes, fresh per puzzle
-    ciphertext: bytes
-    tag: bytes           # 32-byte HMAC over nonce || ciphertext
+class Puzzle(Record):
+    __slots__ = ("nonce",    # 16 bytes, fresh per puzzle
+                 "ciphertext",
+                 "tag")      # 32-byte HMAC over nonce || ciphertext
 
-    def __post_init__(self):
-        if len(self.nonce) != 16:
+    def __init__(self, nonce: bytes, ciphertext: bytes, tag: bytes):
+        if len(nonce) != 16:
             raise ParameterError("nonce must be 16 bytes")
-        if len(self.tag) != _TAG_LEN:
+        if len(tag) != _TAG_LEN:
             raise ParameterError("tag must be 32 bytes")
+        setfield(self, "nonce", nonce)
+        setfield(self, "ciphertext", ciphertext)
+        setfield(self, "tag", tag)
 
 
 def chain_step(s: bytes, i: int) -> bytes:

@@ -3,7 +3,6 @@ experiment and bench subcommands, exit-code discipline, and the commands
 that README.md shows."""
 
 import argparse
-import dataclasses
 import errno
 import os
 import re
@@ -189,7 +188,7 @@ def test_verify_empty_committed_key_rejects(workspace, capsys):
     _run_pipeline(workspace)
     crs = compiler.parse_crs(workspace["crs"].read_bytes())
     r = bytes(32)
-    crs = dataclasses.replace(crs, commitment=commit.commit(b"", r))
+    crs = compiler.Crs(crs.tpk, crs.pk, crs.puzzle, commit.commit(b"", r))
     workspace["crs"].write_bytes(compiler.serialize_crs(crs))
     workspace["opening"].write_bytes(
         compiler.serialize_opening(Opening(sk_bytes=b"", r=r)))
@@ -612,7 +611,7 @@ def assert_unloaded(*names):
     assert not found, found
 
 unused_by_verify = ("numpy", "pvqc.qsim.simulator", "pvqc.bench", "pvqc.fixtures",
-                    "pvqc.harness", "statistics")
+                    "pvqc.harness", "statistics", "dataclasses", "inspect")
 import pvqc
 assert_unloaded(*unused_by_verify)
 from pvqc import cli, qsim
@@ -621,7 +620,7 @@ assert_unloaded(*unused_by_verify)
 loaded = sorted(m for m in sys.modules if m == "pvqc" or m.startswith("pvqc."))
 assert loaded == ["pvqc", *(f"pvqc.{{m}}" for m in
                             ("cli", "commit", "compiler", "dvproof", "errors",
-                             "qsim", "qsim.circuit", "timestamp", "tlp"))], loaded
+                             "qsim", "qsim.circuit", "record", "timestamp", "tlp"))], loaded
 from pvqc import fixtures
 qsim.accept_prob(*fixtures.small_accepting_circuit())
 assert "accept_prob" in vars(qsim)

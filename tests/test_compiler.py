@@ -1,7 +1,6 @@
 """Compiler tests: the four protocol phases end to end, deadline math,
 every rejection site, serialization, and verifier frugality."""
 
-import dataclasses
 import hashlib
 import math
 
@@ -158,8 +157,8 @@ def test_text_digest_of_statement_rejects():
     # A CRS that carries it must never verify, even for the same statement.
     c, x, crs, pi_tau, opening, ledger = _honest_artifacts()
     text_digest = hashlib.sha256(qsim.circuit_to_text(c).encode()).digest()
-    crs = dataclasses.replace(
-        crs, pk=dataclasses.replace(crs.pk, circuit_digest=text_digest))
+    pk = dvproof.DvPublicKey(text_digest, crs.pk.input_digest, crs.pk.session_nonce)
+    crs = compiler.Crs(crs.tpk, pk, crs.puzzle, crs.commitment)
     verdict, site = compiler.vc_verify_explain(crs, c, x, pi_tau, opening, ledger)
     assert not verdict and site == compiler.REJECT_STATEMENT
 
@@ -223,7 +222,7 @@ def test_verify_rejects_empty_committed_key():
     # A CRS may commit to an empty key; its opening passes the commitment
     # check but is no MAC key, which must be a mac_tag reject, not an error.
     c, x, crs, pi_tau, opening, ledger = _honest_artifacts()
-    crs = dataclasses.replace(crs, commitment=commit.commit(b"", opening.r))
+    crs = compiler.Crs(crs.tpk, crs.pk, crs.puzzle, commit.commit(b"", opening.r))
     empty = Opening(sk_bytes=b"", r=opening.r)
     verdict, site = compiler.vc_verify_explain(crs, c, x, pi_tau, empty, ledger)
     assert not verdict and site == compiler.REJECT_MAC_TAG
@@ -260,8 +259,8 @@ def test_reveal_refuses_a_suffix_split_puzzle():
     # A CRS made before the puzzle sealed the opening record holds sk || r.
     _, _, _, crs, _, _, clock = _pipeline()
     tpk, tsk = tlp.setup(256, crs.delta)
-    crs = dataclasses.replace(
-        crs, tpk=tpk, puzzle=tlp.gen_puzzle(b"K" * 32 + bytes(32), tpk, tsk))
+    crs = compiler.Crs(tpk, crs.pk, tlp.gen_puzzle(b"K" * 32 + bytes(32), tpk, tsk),
+                       crs.commitment)
     steps, now = tlp.chain_calls(), clock.now
     with pytest.raises(FormatError):
         compiler.vc_reveal(crs, clock)

@@ -1,7 +1,6 @@
 """Simulator tests: analytic probabilities, unitarity/normalization,
 gate inverses, depth metric, text round-trips, and instrumentation."""
 
-import dataclasses
 import hashlib
 import itertools
 import math
@@ -662,7 +661,7 @@ def _zero_sites(g):
 
 def _flip_zero(g, part, i):
     if part == "param":
-        return dataclasses.replace(g, params=(-g.params[0],))
+        return Gate(g.kind, g.targets, (-g.params[0],))
     matrix = g.matrix.copy()
     view = getattr(matrix, part).reshape(-1)
     view[i] = -view[i]
@@ -678,7 +677,8 @@ def _mutated_statement(draw):
     idx = range(len(gates))
 
     def with_gate(i, g):
-        return dataclasses.replace(c, gates=tuple(gates[:i] + [g] + gates[i + 1:]))
+        return qsim.Circuit(c.n_qubits, gates[:i] + [g] + gates[i + 1:], c.output_qubit,
+                            c.n_inputs)
 
     kind_swap = [i for i in idx if gates[i].kind != "DENSE_UNITARY"
                  and _same_kind_family(gates[i].kind)]
@@ -694,22 +694,22 @@ def _mutated_statement(draw):
     if move == "text":
         return c, qsim.circuit_from_text(qsim.circuit_to_text(c))
     if move == "output":
-        return c, dataclasses.replace(c, output_qubit=(c.output_qubit + 1) % n)
+        return c, qsim.Circuit(n, c.gates, (c.output_qubit + 1) % n, c.n_inputs)
     if move == "inputs":
-        return c, dataclasses.replace(c, n_inputs=(c.n_inputs + 1) % (n + 1))
+        return c, qsim.Circuit(n, c.gates, c.output_qubit, (c.n_inputs + 1) % (n + 1))
     if move == "kind":
         i = draw(st.sampled_from(kind_swap))
         kind = draw(st.sampled_from(_same_kind_family(gates[i].kind)))
-        return c, with_gate(i, dataclasses.replace(gates[i], kind=kind))
+        return c, with_gate(i, Gate(kind, gates[i].targets, gates[i].params))
     if move == "reverse":
         i = draw(st.sampled_from(two_qubit))
-        reversed_targets = gates[i].targets[::-1]
-        return c, with_gate(i, dataclasses.replace(gates[i], targets=reversed_targets))
+        g = gates[i]
+        return c, with_gate(i, Gate(g.kind, g.targets[::-1], g.params, g.matrix))
     if move == "ulp":
         i = draw(st.sampled_from(angled))
         p = gates[i].params[0]
         moved = math.nextafter(p, -math.inf if p > 0 else math.inf)
-        return c, with_gate(i, dataclasses.replace(gates[i], params=(moved,)))
+        return c, with_gate(i, Gate(gates[i].kind, gates[i].targets, (moved,)))
     if move == "zero":
         i, (part, at) = draw(st.sampled_from(zeros))
         return c, with_gate(i, _flip_zero(gates[i], part, at))
@@ -721,7 +721,7 @@ def _mutated_statement(draw):
     else:
         i = draw(st.sampled_from(idx))
         gates.insert(i, gates[i])
-    return c, dataclasses.replace(c, gates=tuple(gates))
+    return c, qsim.Circuit(n, gates, c.output_qubit, c.n_inputs)
 
 
 @settings(max_examples=300, deadline=None)
