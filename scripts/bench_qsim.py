@@ -31,6 +31,10 @@ summed; `dvproof.circuit_digest` of every statement; and
 `compiler.vc_verify_explain` of every statement on the parsed records of
 the CLI sessions below.
 
+HHL row: `hhl_run_ms` is `qsim.run` of the HHL circuits of `pvqc bench
+hhl`, one per size in `bench.HHL_SIZES`, drawn from `bench.HHL_SEED` as
+`bench.bench_hhl` draws them; every block of them is a DENSE_UNITARY.
+
 Parse rows: `corpus_parse_ms` is `qsim.circuit_from_text` of the 20 corpus
 texts in the measuring process, after earlier parses, and
 `corpus_parse_first_ms` the best time of the same 20 parses as the first
@@ -279,6 +283,21 @@ def _corpus_rows(corpus) -> dict[str, float]:
     return out
 
 
+def _hhl_circuits() -> list:
+    import numpy as np
+
+    from pvqc import bench, qsim
+
+    rng = np.random.default_rng(bench.HHL_SEED)
+    circuits = []
+    for n in bench.HHL_SIZES:
+        m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        a = (m + m.conj().T) / 2 + 2.0 * n * np.eye(n)
+        b = rng.normal(size=n) + 1j * rng.normal(size=n)
+        circuits.append(qsim.build_hhl(qsim.HhlInstance(a=a, b=b / np.linalg.norm(b))))
+    return circuits
+
+
 @contextlib.contextmanager
 def _groups():
     """The rows as named groups, each a call that times its rows once, in
@@ -287,6 +306,7 @@ def _groups():
 
     corpus = fixtures.accepting_corpus()
     big = qsim.random_circuit(15, 300, 15301)
+    hhl = _hhl_circuits()
     with tempfile.TemporaryDirectory() as tmp:
         argvs = _cli_verify_argvs(corpus, Path(tmp))
         pycache = Path(tmp) / "pycache"
@@ -294,6 +314,7 @@ def _groups():
             "chain": _chain_rows,
             **{f"kinds.{n}q": functools.partial(_kind_rows, n) for n in QUBITS},
             "corpus": lambda: _corpus_rows(corpus),
+            "hhl": lambda: {"hhl_run_ms": _best_ms(lambda: [qsim.run(c) for c in hhl], 15)},
             "verify": lambda: {"corpus_verify_ms": _corpus_verify_ms(corpus, argvs)},
             "parse": lambda: _parse_rows(corpus, pycache),
             "cli": lambda: _cli_rows(argvs, pycache),

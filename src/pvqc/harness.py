@@ -69,24 +69,20 @@ class ExperimentReport(Record):
 
 
 class AggregateReport(Record):
-    """The one mutable record: its fields may be reassigned, so it has no
-    hash."""
+    """Unhashable: its `rejection_sites` field is a dict."""
 
     __slots__ = ("strategy", "trials", "wins", "seed", "mean_tau", "mean_steps",
                  "rejection_sites")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
 
     def __init__(self, strategy: str, trials: int, wins: int, seed: int,
                  mean_tau: float, mean_steps: float, rejection_sites: dict[str, int]):
-        self.strategy = strategy
-        self.trials = trials
-        self.wins = wins
-        self.seed = seed
-        self.mean_tau = mean_tau
-        self.mean_steps = mean_steps
-        self.rejection_sites = rejection_sites
+        setfield(self, "strategy", strategy)
+        setfield(self, "trials", trials)
+        setfield(self, "wins", wins)
+        setfield(self, "seed", seed)
+        setfield(self, "mean_tau", mean_tau)
+        setfield(self, "mean_steps", mean_steps)
+        setfield(self, "rejection_sites", rejection_sites)
 
     def to_text(self) -> str:
         sites = ",".join(f"{k}:{v}" for k, v in sorted(self.rejection_sites.items()))

@@ -1,24 +1,16 @@
 """Statevector execution and acceptance-probability evaluation.
 
-`apply_gate` is the pure single-gate reference.  `run` and `accept_prob`
-apply a whole gate list in place on one buffer, whose qubit order is free:
-a logical-to-physical map says where each logical qubit sits, later gates
-act on the physical qubits it names, and `run` transposes back to logical
-order once.  That cuts the passes over the buffer in three ways.  A SWAP
-applies no kernel: it exchanges two entries of the map.  One-qubit gates
-wait as one pending 2x2 matrix per qubit, which a two-qubit gate flushes
-only when it does not commute with it: a diagonal matrix passes CZ and
-CPHASE on either qubit and CNOT on its control, and an X-type one
-(a*I + b*X, such as X or RX) passes CNOT on its target.  And a flush works
-on contiguous memory.  A diagonal matrix scales the halves of the buffer in
-place.  Any other is one product: the state is copied into a scratch
-buffer with the qubit's axis in front, and one (2,2) @ (2, 2^(n-1)) product
-writes it back, which leaves the qubit in front, at physical position 0.
+`apply_gate` is the pure single-gate reference the tests check against.
+`run` and `accept_prob` apply a whole gate list in place on one buffer
+whose qubit order is free (`_simulate`).  A diagonal one-qubit matrix scales
+it in place; any other matrix, and a DENSE_UNITARY on k qubits, is one
+(2^k,2^k) @ (2^k, 2^(n-k)) product on a copy with those k axes in front.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -110,8 +102,7 @@ def gate_matrix(g: Gate) -> np.ndarray:
         return np.diag([1, 1, 1, _corner_2q(g)])
     if g.kind == "DENSE_UNITARY":
         mat = g.matrix
-        dim = mat.shape[0]
-        if not np.allclose(mat.conj().T @ mat, np.eye(dim), atol=UNITARY_TOL):
+        if not np.allclose(mat.conj().T @ mat, np.eye(mat.shape[0]), atol=UNITARY_TOL):
             raise ParameterError("DENSE_UNITARY matrix is not unitary")
         return mat
     raise ParameterError(f"unknown gate kind {g.kind!r}")
@@ -135,6 +126,23 @@ def apply_gate(state: np.ndarray, g: Gate, n: int) -> np.ndarray:
 _SHORT_RUN = 8
 
 
+@functools.lru_cache(maxsize=4096)
+def _layout(n: int, qubits: tuple[int, ...]) -> tuple:
+    """For an n-qubit buffer: a shape with one axis per qubit of `qubits`
+    (the i-th smallest at axis 2i+1) and one per run of the others, as fewer
+    axes make ufuncs and copies faster; the axis order that puts the qubits'
+    axes first, as given; and `moved`, where each qubit sits after a product
+    on them (qubits[i] at i, the others after in order), or None if none moves."""
+    shape, prev, ordered, k = [], -1, sorted(qubits), len(qubits)
+    for q in ordered:
+        shape += [1 << (q - prev - 1), 2]
+        prev = q
+    order = qubits + tuple(p for p in range(n) if p not in qubits)
+    return ((*shape, 1 << (n - 1 - prev)),
+            (*(2 * ordered.index(q) + 1 for q in qubits), *range(0, 2 * k + 1, 2)),
+            None if qubits == tuple(range(k)) else tuple(map(order.index, range(n))))
+
+
 class _Views(dict):
     """Views of one state buffer keyed by (qubit, bit) pairs: the view
     holds the amplitudes at which every pair holds.  Kernels pass
@@ -145,14 +153,10 @@ class _Views(dict):
         self.state, self.n = state, n
 
     def __missing__(self, fixed: tuple[tuple[int, int], ...]) -> np.ndarray:
-        shape, index, prev = [], [], -1
-        for q, b in sorted(fixed):
-            shape += [1 << (q - prev - 1), 2]
-            index += [slice(None), b]
-            prev = q
-        shape.append(1 << (self.n - 1 - prev))
-        index.append(slice(None))
-        view = self.state.reshape(shape)[tuple(index)]
+        qubits, bits = zip(*sorted(fixed))
+        index = [slice(None)] * (2 * len(bits) + 1)
+        index[1::2] = bits
+        view = self.state.reshape(_layout(self.n, qubits)[0])[tuple(index)]
         if view.shape[-1] < _SHORT_RUN:
             view = view.transpose(sorted(range(view.ndim), key=view.shape.__getitem__))
         self[fixed] = view
@@ -176,32 +180,30 @@ def _apply_1q(views: _Views, m: tuple, q: int) -> None:
             np.multiply(half, d, out=half, order="C")
 
 
-class _Gathers(dict):
-    """Views of one state buffer and of a scratch buffer of its size, built
-    once per call of `_simulate`.  Keyed by a physical qubit q: the pair
-    (into scratch, from state) whose copy moves q's axis to the front.
-    `front` (scratch) and `out` (state) are both shaped (2, 2^(n-1)), the
-    operand and the output of the product that follows the copy."""
+class _Fronts(dict):
+    """Views of one state buffer and a scratch buffer of its size, built once
+    per `_simulate` call.  Keyed by a tuple of k physical qubits: the state
+    with their axes in front, the scratch view it is copied into, the product's
+    operand (scratch) and output (state), both (2^k, 2^(n-k)), and `moved`."""
 
-    def __init__(self, state: np.ndarray):
+    def __init__(self, state: np.ndarray, n: int):
         super().__init__()
-        self.state, self.scratch = state, np.empty_like(state)
-        self.front, self.out = self.scratch.reshape(2, -1), state.reshape(2, -1)
+        self.state, self.n, self.scratch = state, n, np.empty_like(state)
 
-    def __missing__(self, q: int) -> tuple[np.ndarray, np.ndarray]:
-        pair = (self.scratch.reshape(2, 1 << q, -1),
-                self.state.reshape(1 << q, 2, -1).transpose(1, 0, 2))
-        self[q] = pair
-        return pair
+    def __missing__(self, key: tuple[int, ...]) -> tuple:
+        shape, axes, moved = _layout(self.n, key)
+        src, k = self.state.reshape(shape).transpose(axes), len(key)
+        into, front = self.scratch.reshape(src.shape), self.scratch.reshape(1 << k, -1)
+        self[key] = entry = (src, into, front, self.state.reshape(1 << k, -1), moved)
+        return entry
 
 
-def _apply_1q_front(gathers: _Gathers, m: tuple, q: int) -> None:
-    """m (nested tuples) on physical qubit q as one product: the state is
-    copied into scratch with q's axis in front, and m times that copy is
-    written back.  The state then holds q at physical position 0, and the
-    qubits that were before q one position further on."""
-    np.copyto(*gathers[q])
-    np.matmul(np.array(m), gathers.front, out=gathers.out)
+def _apply_front(fronts: _Fronts, mat: np.ndarray, key: tuple[int, ...]) -> tuple | None:
+    """mat on physical qubits key (key[0] its high bit) as one product; returns `moved`."""
+    src, into, front, out, moved = fronts[key]
+    np.copyto(into, src)
+    np.matmul(mat, front, out=out)
+    return moved
 
 
 def _apply_2q(views: _Views, g: Gate, a: int, b: int) -> None:
@@ -229,33 +231,34 @@ def _simulate(c: Circuit, basis: int) -> tuple[np.ndarray, list[int]]:
     gates on a physical qubit are multiplied into one pending 2x2 matrix.
     A two-qubit gate flushes a pending matrix only when the two do not
     commute: a diagonal one stays pending across CZ, CPHASE and a CNOT
-    control, an X-type one (`_is_x_type`) across a CNOT target.  A
-    DENSE_UNITARY flushes all of its qubits, and the end of the circuit
-    flushes the rest.  Each gate moved past commutes with it exactly, so
-    the result is the gate list's, up to rounding.
-
-    A flushed matrix that is not diagonal moves its qubit to physical
-    position 0 (`_apply_1q_front`), so `phys` and the keys of `pending`
-    change, and a physical index is read again after every flush."""
+    control, an X-type one (`_is_x_type`) across a CNOT target.  Each gate
+    moved past commutes with it exactly, so the result is the gate list's,
+    up to rounding.  A DENSE_UNITARY flushes its qubits and then, as a
+    flushed matrix that is not diagonal does, moves them to the front
+    (`_apply_front`), which `phys` and the keys of `pending` follow.  The
+    end of the circuit flushes the rest."""
     global _run_calls
     _run_calls += 1
     n = c.n_qubits
     state = np.zeros(2 ** n, dtype=complex)
     state[basis] = 1.0
-    views, gathers = _Views(state, n), _Gathers(state)
+    views, fronts = _Views(state, n), _Fronts(state, n)
     phys = list(range(n))
     pending: dict[int, tuple] = {}      # physical qubit -> matrix not yet applied
 
-    def flush(q: int) -> None:
+    def product(mat: np.ndarray, key: tuple[int, ...]) -> None:
         nonlocal pending
+        moved = _apply_front(fronts, mat, key)
+        if moved is not None:
+            phys[:] = [moved[p] for p in phys]
+            pending = {moved[p]: r for p, r in pending.items()}
+
+    def flush(q: int) -> None:
         m = pending.pop(q)
         if _is_diagonal(m):
             _apply_1q(views, m, q)
-            return
-        _apply_1q_front(gathers, m, q)
-        if q:
-            phys[:] = [0 if p == q else p + (p < q) for p in phys]
-            pending = {p + (p < q): r for p, r in pending.items()}
+        else:
+            product(np.array(m), (q,))
 
     for g in c.gates:
         kind = g.kind
@@ -270,10 +273,7 @@ def _simulate(c: Circuit, basis: int) -> tuple[np.ndarray, list[int]]:
             for t in g.targets:
                 if phys[t] in pending:
                     flush(phys[t])
-            targets = tuple(phys[t] for t in g.targets)
-            if targets != g.targets:
-                g = Gate(kind, targets, matrix=g.matrix)
-            state[...] = apply_gate(state, g, n)
+            product(gate_matrix(g), tuple(phys[t] for t in g.targets))
         else:
             first, second = g.targets
             m = pending.get(phys[first])

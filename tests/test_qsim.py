@@ -242,30 +242,39 @@ def test_front_flushes_match_reference_fold(case):
 
 def _kernel_calls(monkeypatch, c):
     """The kernels `qsim.run(c)` applies, in order: ("1q", q) for a flushed
-    one-qubit matrix, q the physical qubit it acts on, and the gate kind for
-    a two-qubit gate.  A flushed matrix that is not diagonal leaves its
-    qubit at physical position 0 and moves the qubits before it on by one."""
+    diagonal matrix, q the physical qubit it scales; ("front", key) for a
+    gathered product, key the physical qubits of a flushed matrix that is
+    not diagonal or of a DENSE_UNITARY; and the gate kind for a two-qubit
+    gate.  A product leaves the key's qubits at physical positions 0..k-1,
+    in key order, and the other qubits after them in their old order."""
     calls = []
-    apply_1q, apply_1q_front = simulator._apply_1q, simulator._apply_1q_front
+    apply_1q, apply_front = simulator._apply_1q, simulator._apply_front
     apply_2q = simulator._apply_2q
 
     def diagonal(views, m, q):
         calls.append(("1q", q))
         apply_1q(views, m, q)
 
-    def front(gathers, m, q):
-        calls.append(("1q", q))
-        apply_1q_front(gathers, m, q)
+    def front(fronts, mat, key):
+        calls.append(("front", key))
+        return apply_front(fronts, mat, key)
 
     def two(views, g, a, b):
         calls.append(g.kind)
         apply_2q(views, g, a, b)
 
     monkeypatch.setattr(simulator, "_apply_1q", diagonal)
-    monkeypatch.setattr(simulator, "_apply_1q_front", front)
+    monkeypatch.setattr(simulator, "_apply_front", front)
     monkeypatch.setattr(simulator, "_apply_2q", two)
     assert np.abs(qsim.run(c) - _reference_run(c, c.gates)).max() <= 1e-12
     return calls
+
+
+def _dense(targets, seed=0):
+    rng = np.random.default_rng(seed)
+    dim = 2 ** len(targets)
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return Gate("DENSE_UNITARY", targets, matrix=q)
 
 
 _H01 = (Gate("H", (0,)), Gate("H", (1,)))
@@ -280,28 +289,62 @@ _H01 = (Gate("H", (0,)), Gate("H", (1,)))
     ((*_H01, Gate("CZ", (0, 1)), Gate("T", (0,)), Gate("CZ", (0, 1)), Gate("S", (1,)),
       Gate("CPHASE", (1, 0), params=(0.4,)), Gate("RZ", (0,), params=(0.3,)),
       Gate("CNOT", (0, 1)), Gate("PHASE", (0,), params=(1.1,))),
-     [("1q", 0), ("1q", 1), "CZ", "CZ", "CPHASE", ("1q", 0), "CNOT", ("1q", 1)]),
+     [("front", (0,)), ("front", (1,)), "CZ", "CZ", "CPHASE", ("1q", 0), "CNOT", ("1q", 1)]),
     # RX and X pass a CNOT target.
     ((Gate("H", (0,)), Gate("RX", (1,), params=(0.6,)), Gate("CNOT", (0, 1)),
       Gate("X", (1,)), Gate("CNOT", (0, 1))),
-     [("1q", 0), "CNOT", "CNOT", ("1q", 1)]),
+     [("front", (0,)), "CNOT", "CNOT", ("front", (1,))]),
     # H commutes with no two-qubit gate, so CZ flushes it; qubit 0 then
     # sits at physical 1.
-    ((*_H01, Gate("CZ", (0, 1)), Gate("H", (0,))), [("1q", 0), ("1q", 1), "CZ", ("1q", 1)]),
+    ((*_H01, Gate("CZ", (0, 1)), Gate("H", (0,))),
+     [("front", (0,)), ("front", (1,)), "CZ", ("front", (1,))]),
     # The flush of H on the CNOT's control, qubit 2, moves its target,
     # qubit 1, from physical 1 to 2, where its own H is then flushed.
     ((Gate("H", (2,)), Gate("H", (1,)), Gate("CNOT", (2, 1))),
-     [("1q", 2), ("1q", 2), "CNOT"]),
+     [("front", (2,)), ("front", (2,)), "CNOT"]),
     # The flush of H on qubit 1 moves qubit 0, whose S stays pending across
     # it, from physical 0 to 1, and S follows it there.
     ((Gate("H", (0,)), Gate("CZ", (0, 1)), Gate("S", (0,)), Gate("H", (1,)),
       Gate("CNOT", (1, 2))),
-     [("1q", 0), "CZ", ("1q", 1), "CNOT", ("1q", 1)]),
+     [("front", (0,)), "CZ", ("front", (1,)), "CNOT", ("1q", 1)]),
+    # The flush of H puts qubits 2, 0, 1 at physical 0, 1, 2, and the SWAP
+    # relabels qubits 0 and 1, so the dense gate on (0, 2) acts on physical
+    # (2, 0) and leaves qubit 0 at 0, 2 at 1 and 1 at 2, where S is flushed.
+    ((Gate("H", (2,)), Gate("CZ", (2, 1)), Gate("SWAP", (0, 1)), _dense((0, 2)),
+      Gate("S", (1,))),
+     [("front", (2,)), "CZ", ("front", (2, 0)), ("1q", 2)]),
+    # A dense gate first flushes the matrices pending on its qubits; the
+    # flush of H moves qubit 0 and its T to physical 1, and the dense gate
+    # then acts on the front qubits in order, which moves nothing.
+    ((Gate("H", (1,)), Gate("T", (0,)), _dense((1, 0))),
+     [("front", (1,)), ("1q", 1), ("front", (0, 1))]),
 ], ids=["swap-only", "diagonal-passes", "x-type-passes-cnot-target", "h-flushed",
-        "flush-moves-second-target", "flush-moves-pending-diagonal"])
+        "flush-moves-second-target", "flush-moves-pending-diagonal",
+        "dense-after-flush-and-swap", "dense-flushes-its-pendings"])
 def test_schedule_applies_only_the_kernels_it_must(monkeypatch, gates, expected):
     c = qsim.Circuit(n_qubits=3, gates=gates, output_qubit=2)
     assert _kernel_calls(monkeypatch, c) == expected
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_dense_unitary_does_not_run_the_reference(monkeypatch, k):
+    # Dense gates on k qubits, placed after SWAPs and after the front
+    # flushes of H, RX and Y have moved qubits, are applied by the gathered
+    # product: `apply_gate` is only the reference that the fold below runs
+    # through this module's own binding of it.
+    gates = (Gate("H", (0,)), Gate("H", (3,)), Gate("SWAP", (0, 4)), Gate("CNOT", (3, 1)),
+             _dense((4, 1, 2)[:k], seed=k), Gate("RX", (2,), params=(0.9,)),
+             Gate("CZ", (2, 0)), Gate("SWAP", (1, 2)), _dense((0, 3, 2)[:k], seed=k + 3),
+             Gate("Y", (4,)), Gate("CNOT", (1, 4)), Gate("SWAP", (3, 4)),
+             _dense((2, 4, 0)[:k], seed=k + 6), Gate("T", (1,)))
+    c = qsim.Circuit(n_qubits=5, gates=gates, output_qubit=4)
+
+    def refuse(*args):
+        raise AssertionError("the simulator ran the single-gate reference")
+
+    monkeypatch.setattr(simulator, "apply_gate", refuse)
+    for bits in ([0, 0, 0, 0, 0], [1, 0, 1, 1, 0]):
+        _assert_matches_reference_fold(c, bits)
 
 
 def test_swaps_move_the_output_qubit():
