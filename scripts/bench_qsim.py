@@ -4,15 +4,19 @@ comparison of two source trees.
     python scripts/bench_qsim.py
         Times the importable pvqc and prints one JSON object of metrics,
         each the best of a few repetitions.
-    python scripts/bench_qsim.py --trees BEFORE_SRC AFTER_SRC --rounds 5
+    python scripts/bench_qsim.py --trees BEFORE_SRC AFTER_SRC --rounds 5 [--groups GROUP...]
         Starts one worker process per tree (PYTHONPATH set to the tree,
         BLAS on one thread) and, each round, asks both for each group of
         rows in turn, so that the trees alternate per sample and a slow
         phase of the host covers both; which tree goes first alternates
-        too.  Prints, for every row, the median, min and n of each tree's
-        values and of the paired ratio AFTER / BEFORE, with their
-        quartiles q1 and q3 (inclusive method) when n >= 2.  Stops if a
-        worker's pvqc, the one it imported, is not in its tree.
+        too.  Each round takes the groups in its own seeded random order,
+        so that no group always runs right after the same other group
+        (a rotation would keep every group's successor).  Prints, for
+        every row, the median, min and n of each tree's values and of
+        the paired ratio AFTER / BEFORE, with their quartiles q1 and q3
+        (inclusive method) when n >= 2.  `--groups` times only the
+        named groups (see `_groups`).  Stops if a worker's pvqc, the one
+        it imported, is not in its tree.
 
 Per-kind rows: a two-qubit kind is timed alone, 200 gates on random pairs;
 a SWAP relabels two qubits and touches no amplitude, so its rows time the
@@ -30,6 +34,20 @@ as `corpus_accept_prob_ms.<n>q`, the best time of each n-qubit statement
 summed; `dvproof.circuit_digest` of every statement; and
 `compiler.vc_verify_explain` of every statement on the parsed records of
 the CLI sessions below.
+
+Fixture rows: `fixture_accept_prob_us` is `qsim.accept_prob` of
+`fixtures.small_accepting_circuit()`, the statement of every
+`soundness-mix` trial, and `fixture_vc_prove_us` its `compiler.vc_prove`
+on a fresh ledger and clock per call, as `harness.run_trial`'s honest
+branch calls it; each is the best mean over FIXTURE_CALLS calls, with
+ledgers and clocks made before the timing starts.
+
+First-call rows: `corpus_accept_prob_first_ms` and `corpus_run_first_ms`
+sum, over the corpus statements, the best of FIRST_REPS timings of
+`qsim.accept_prob` and `qsim.run` as the first call of a new thread, which
+holds no simulator buffers or views yet, as a one-shot `pvqc prove` does;
+`fixture_accept_prob_first_us` is the same for the fixture, best of
+FIXTURE_FIRST_REPS.  Thread start is not timed.
 
 HHL row: `hhl_run_ms` is `qsim.run` of the HHL circuits of `pvqc bench
 hhl`, one per size in `bench.HHL_SIZES`, drawn from `bench.HHL_SEED` as
@@ -83,6 +101,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 from pathlib import Path
 
@@ -92,6 +111,9 @@ COLD_STATEMENT = 17     # 14 qubits, depth 90
 COLD_REPS = 5
 CHAIN_STEPS = 50_000
 CHAIN_REPS = 5
+FIXTURE_CALLS = 500
+FIRST_REPS = 5
+FIXTURE_FIRST_REPS = 50
 
 
 def _best_ms(fn, reps: int) -> float:
@@ -271,16 +293,56 @@ def _kind_rows(n: int) -> dict[str, float]:
 
 
 def _corpus_rows(corpus) -> dict[str, float]:
-    from pvqc import dvproof, qsim
+    from pvqc import qsim
 
     out = {"corpus_accept_prob_ms": _best_ms(
         lambda: [qsim.accept_prob(c, x) for c, x in corpus], 5)}
     for n in sorted({c.n_qubits for c, _ in corpus}):
         out[f"corpus_accept_prob_ms.{n}q"] = sum(
             _best_ms(lambda: qsim.accept_prob(c, x), 5) for c, x in corpus if c.n_qubits == n)
-    out["corpus_circuit_digest_ms"] = _best_ms(
-        lambda: [dvproof.circuit_digest(c) for c, _ in corpus], 15)
     return out
+
+
+def _fixture_rows() -> dict[str, float]:
+    from pvqc import compiler, fixtures, qsim
+    from pvqc.meter import MeteredClock
+    from pvqc.timestamp import Ledger, new_mac_key
+
+    c, x = fixtures.small_accepting_circuit()
+    cost = compiler.CostModel.from_circuit(c)
+    crs, token = compiler.vc_setup(compiler.DEFAULT_LAMBDA, c, x, cost)
+    accept_ms = _best_ms(lambda: [qsim.accept_prob(c, x) for _ in range(FIXTURE_CALLS)], 7)
+    prove_ms = float("inf")
+    for _ in range(7):
+        fresh = [(Ledger(new_mac_key()), MeteredClock()) for _ in range(FIXTURE_CALLS)]
+        prove_ms = min(prove_ms, _best_ms(lambda: [
+            compiler.vc_prove(crs, c, x, token, ledger, clock, cost) for ledger, clock in fresh], 1))
+    return {"fixture_accept_prob_us": accept_ms / FIXTURE_CALLS * 1e3,
+            "fixture_vc_prove_us": prove_ms / FIXTURE_CALLS * 1e3}
+
+
+def _first_call_ms(fn, reps: int) -> float:
+    """Best ms of fn() over reps calls, each the first call of a new thread."""
+    best = []
+    for _ in range(reps):
+        thread = threading.Thread(target=lambda: best.append(_best_ms(fn, 1)))
+        thread.start()
+        thread.join()
+    return min(best)
+
+
+def _first_rows(corpus) -> dict[str, float]:
+    from pvqc import fixtures, qsim
+
+    fixture = fixtures.small_accepting_circuit()
+    return {
+        "corpus_accept_prob_first_ms": sum(
+            _first_call_ms(lambda: qsim.accept_prob(c, x), FIRST_REPS) for c, x in corpus),
+        "corpus_run_first_ms": sum(
+            _first_call_ms(lambda: qsim.run(c), FIRST_REPS) for c, _ in corpus),
+        "fixture_accept_prob_first_us": _first_call_ms(
+            lambda: qsim.accept_prob(*fixture), FIXTURE_FIRST_REPS) * 1e3,
+    }
 
 
 def _hhl_circuits() -> list:
@@ -302,7 +364,7 @@ def _hhl_circuits() -> list:
 def _groups():
     """The rows as named groups, each a call that times its rows once, in
     output order, over one corpus and its CLI sessions, built on entry."""
-    from pvqc import fixtures, qsim
+    from pvqc import dvproof, fixtures, qsim
 
     corpus = fixtures.accepting_corpus()
     big = qsim.random_circuit(15, 300, 15301)
@@ -314,6 +376,10 @@ def _groups():
             "chain": _chain_rows,
             **{f"kinds.{n}q": functools.partial(_kind_rows, n) for n in QUBITS},
             "corpus": lambda: _corpus_rows(corpus),
+            "digest": lambda: {"corpus_circuit_digest_ms": _best_ms(
+                lambda: [dvproof.circuit_digest(c) for c, _ in corpus], 15)},
+            "fixture": _fixture_rows,
+            "first": lambda: _first_rows(corpus),
             "hhl": lambda: {"hhl_run_ms": _best_ms(lambda: [qsim.run(c) for c in hhl], 15)},
             "verify": lambda: {"corpus_verify_ms": _corpus_verify_ms(corpus, argvs)},
             "parse": lambda: _parse_rows(corpus, pycache),
@@ -344,7 +410,7 @@ def _worker() -> None:
 _WORKER = "import runpy, sys; runpy.run_path(sys.argv[1])['_worker']()"
 
 
-def compare(before: str, after: str, rounds: int) -> dict:
+def compare(before: str, after: str, rounds: int, only: list[str] | None = None) -> dict:
     trees = (before, after)
     samples: dict[str, dict[str, list[float]]] = {t: {} for t in trees}
     with contextlib.ExitStack() as stack:
@@ -359,10 +425,15 @@ def compare(before: str, after: str, rounds: int) -> dict:
             print(f"{tree}: {hello['pvqc_file']}", file=sys.stderr)
             if Path(tree).resolve() not in Path(hello["pvqc_file"]).resolve().parents:
                 sys.exit(f"pvqc was imported from {hello['pvqc_file']}, not {tree}")
+        if only and set(only) - set(hello["groups"]):
+            sys.exit(f"no group {sorted(set(only) - set(hello['groups']))}; "
+                     f"groups: {hello['groups']}")
         turn = 0
         for r in range(rounds):
             print(f"round {r}", file=sys.stderr)
-            for group in hello["groups"]:
+            groups = [g for g in hello["groups"] if not only or g in only]
+            random.Random(r).shuffle(groups)
+            for group in groups:
                 for tree in trees if turn % 2 == 0 else trees[::-1]:
                     workers[tree].stdin.write(group + "\n")
                     workers[tree].stdin.flush()
@@ -390,9 +461,11 @@ def main() -> None:
     parser.add_argument("--trees", nargs=2, metavar=("BEFORE_SRC", "AFTER_SRC"),
                         help="src directories to compare")
     parser.add_argument("--rounds", type=int, default=5)
+    parser.add_argument("--groups", nargs="+", metavar="GROUP",
+                        help="with --trees, time only these groups of rows")
     args = parser.parse_args()
     if args.trees:
-        print(json.dumps(compare(*args.trees, args.rounds), indent=1))
+        print(json.dumps(compare(*args.trees, args.rounds, args.groups), indent=1))
     else:
         import pvqc
         print(json.dumps({"pvqc_file": pvqc.__file__, **measure()}))

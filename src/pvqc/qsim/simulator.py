@@ -5,6 +5,8 @@
 whose qubit order is free (`_simulate`).  A diagonal one-qubit matrix scales
 it in place; any other matrix, and a DENSE_UNITARY on k qubits, is one
 (2^k,2^k) @ (2^k, 2^(n-k)) product on a copy with those k axes in front.
+The buffer, its scratch copy and their views belong to the calling thread
+and are reused by its later calls (`_workspace`).
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import threading
 
 import numpy as np
 
@@ -181,14 +184,14 @@ def _apply_1q(views: _Views, m: tuple, q: int) -> None:
 
 
 class _Fronts(dict):
-    """Views of one state buffer and a scratch buffer of its size, built once
-    per `_simulate` call.  Keyed by a tuple of k physical qubits: the state
-    with their axes in front, the scratch view it is copied into, the product's
-    operand (scratch) and output (state), both (2^k, 2^(n-k)), and `moved`."""
+    """Views of one state buffer and a scratch buffer of its size.  Keyed by
+    a tuple of k physical qubits: the state with their axes in front, the
+    scratch view it is copied into, the product's operand (scratch) and
+    output (state), both (2^k, 2^(n-k)), and `moved`."""
 
-    def __init__(self, state: np.ndarray, n: int):
+    def __init__(self, state: np.ndarray, n: int, scratch: np.ndarray):
         super().__init__()
-        self.state, self.n, self.scratch = state, n, np.empty_like(state)
+        self.state, self.n, self.scratch = state, n, scratch
 
     def __missing__(self, key: tuple[int, ...]) -> tuple:
         shape, axes, moved = _layout(self.n, key)
@@ -221,10 +224,30 @@ def _apply_2q(views: _Views, g: Gate, a: int, b: int) -> None:
     np.copyto(s1, old0)
 
 
-def _simulate(c: Circuit, basis: int) -> tuple[np.ndarray, list[int]]:
+_local = threading.local()
+
+
+def _workspace(n: int) -> tuple[_Views, _Fronts]:
+    """This thread's views of an n-qubit state and scratch buffer: the first
+    2^n amplitudes of a pair as long as the widest circuit the thread has
+    simulated.  A wider n replaces the pair and drops the views of every
+    width, which alias the old pair; otherwise each width's views are built
+    once and serve every later call."""
+    entry = getattr(_local, "widths", {}).get(n)
+    if entry is None:
+        if not hasattr(_local, "pair") or 1 << n > len(_local.pair[0]):
+            _local.pair = np.empty(1 << n, dtype=complex), np.empty(1 << n, dtype=complex)
+            _local.widths = {}
+        state, scratch = _local.pair[0][:1 << n], _local.pair[1][:1 << n]
+        entry = _local.widths[n] = _Views(state, n), _Fronts(state, n, scratch)
+    return entry
+
+
+def _simulate(c: Circuit, basis: int) -> tuple[_Views, list[int]]:
     """Apply the gate list in order to the basis state |basis>, in place on
-    one buffer, and return the buffer and the map `phys` that places
-    logical qubit q on physical qubit phys[q] of it.
+    this thread's buffer, and return its views and the map `phys` that
+    places logical qubit q on physical qubit phys[q] of it.  The buffer is
+    overwritten by the thread's next call.
 
     A SWAP exchanges two entries of `phys` and touches no amplitude; every
     other gate acts on the physical qubits its targets map to.  One-qubit
@@ -240,9 +263,9 @@ def _simulate(c: Circuit, basis: int) -> tuple[np.ndarray, list[int]]:
     global _run_calls
     _run_calls += 1
     n = c.n_qubits
-    state = np.zeros(2 ** n, dtype=complex)
-    state[basis] = 1.0
-    views, fronts = _Views(state, n), _Fronts(state, n)
+    views, fronts = _workspace(n)
+    views.state.fill(0)
+    views.state[basis] = 1.0
     phys = list(range(n))
     pending: dict[int, tuple] = {}      # physical qubit -> matrix not yet applied
 
@@ -285,27 +308,33 @@ def _simulate(c: Circuit, basis: int) -> tuple[np.ndarray, list[int]]:
             _apply_2q(views, g, phys[first], phys[second])
     while pending:
         flush(next(iter(pending)))
-    return state, phys
+    return views, phys
 
 
 def run(c: Circuit) -> np.ndarray:
-    """Apply the gate list in order to |0...0>. Pure and deterministic."""
-    state, phys = _simulate(c, 0)
-    if phys != list(range(c.n_qubits)):
-        state = state.reshape([2] * c.n_qubits).transpose(phys).reshape(-1)
-    return state
+    """Apply the gate list in order to |0...0>. Pure and deterministic;
+    the result is a new array, in logical qubit order."""
+    views, phys = _simulate(c, 0)
+    if phys == list(range(c.n_qubits)):
+        return views.state.copy()
+    return views.state.reshape([2] * c.n_qubits).transpose(phys).flatten()
 
 
 def marginal_one_prob(state: np.ndarray, qubit: int, n: int) -> float:
+    """Pr[qubit measures 1] of a statevector: the reference `accept_prob`
+    is tested against."""
     tensor = np.abs(state.reshape([2] * n)) ** 2
     return float(np.moveaxis(tensor, qubit, 0)[1].sum())
 
 
 def accept_prob(c: Circuit, x) -> float:
     """Exact Pr[output qubit measures 1] with classical input bits loaded
-    as the basis state on the input qubits."""
+    as the basis state on the input qubits: the squared norm of the output
+    qubit's bit-1 half of the buffer.  `np.vdot` reads it in place when the
+    half is one strided run, and copies it otherwise."""
     bits = input_bits(x, c.n_inputs)
     n = c.n_qubits
     basis = sum(1 << (n - 1 - q) for q, b in enumerate(bits) if b == 1)
-    state, phys = _simulate(c, basis)
-    return marginal_one_prob(state, phys[c.output_qubit], n)
+    views, phys = _simulate(c, basis)
+    half = views[(phys[c.output_qubit], 1),]
+    return float(np.vdot(half, half).real)

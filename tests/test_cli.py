@@ -472,8 +472,8 @@ def test_bench_circuits_command(capsys, monkeypatch):
     assert cli.main(["bench", "circuits", "--repetitions", "1"]) == cli.EXIT_ACCEPT
     rows = _report_rows(capsys)
     assert len(rows) == 1
-    assert rows[0].startswith("row=circuit qubits=5 depth=10 ")
-    assert "solve_ms=" in rows[0]
+    assert rows[0].startswith("row=circuit qubits=5 depth=10 t_ms=")
+    assert " first_ms=" in rows[0] and "solve_ms=" in rows[0]
 
 
 @pytest.mark.parametrize("suite", ["tlp", "circuits"])

@@ -1,10 +1,14 @@
 """Simulator tests: analytic probabilities, unitarity/normalization,
 gate inverses, depth metric, text round-trips, and instrumentation."""
 
+import functools
 import hashlib
 import itertools
 import math
 import struct
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -345,6 +349,67 @@ def test_dense_unitary_does_not_run_the_reference(monkeypatch, k):
     monkeypatch.setattr(simulator, "apply_gate", refuse)
     for bits in ([0, 0, 0, 0, 0], [1, 0, 1, 1, 0]):
         _assert_matches_reference_fold(c, bits)
+
+
+def _in_new_threads(*calls):
+    """Run each call in its own new thread, whose simulator workspace starts
+    empty, all at once; re-raise the first failure."""
+    with ThreadPoolExecutor(max_workers=len(calls)) as pool:
+        for future in [pool.submit(call) for call in calls]:
+            future.result(timeout=60)
+
+
+def test_run_result_belongs_to_the_caller():
+    # Non-diagonal gates only on qubit 0, whose flushes move no qubit, so
+    # the state ends in logical order: a `run` that returned a view of its
+    # buffer here would see the next call of the same width overwrite it.
+    kept_circuit = qsim.Circuit(n_qubits=5, output_qubit=4, gates=(
+        Gate("H", (0,)), Gate("CNOT", (0, 1)), Gate("T", (1,)), Gate("CNOT", (1, 3)),
+        Gate("RX", (0,), params=(0.8,)), Gate("CZ", (0, 4)), Gate("H", (0,)),
+        Gate("CPHASE", (3, 2), params=(0.5,))))
+    # Same width, wider (which replaces the thread's buffers), narrower.
+    later = [qsim.random_circuit(n, 30, seed) for n, seed in ((5, 1), (9, 2), (3, 3))]
+
+    def check():
+        assert simulator._simulate(kept_circuit, 0)[1] == list(range(5))
+        kept = qsim.run(kept_circuit)
+        snapshot = kept.copy()
+        assert np.abs(kept - _reference_run(kept_circuit, kept_circuit.gates)).max() <= 1e-12
+        for c in later:
+            assert np.abs(qsim.run(c) - _reference_run(c, c.gates)).max() <= 1e-12
+        assert np.array_equal(kept, snapshot)
+
+    _in_new_threads(check)
+
+
+def test_threads_simulate_on_their_own_workspaces():
+    # Two threads, each alternating between two widths (one shared), with
+    # the interpreter switching threads every microsecond so that their
+    # simulations interleave; a shared buffer would mix their states.
+    cases = {}
+    for widths in ((4, 8), (6, 8)):
+        cases[widths] = []
+        for i, n in enumerate(widths * 4):
+            c = qsim.random_circuit(n, 40, 100 * n + i)
+            bits = [(i >> q) & 1 for q in range(n)]
+            loaded = tuple(Gate("X", (q,)) for q, b in enumerate(bits) if b) + c.gates
+            cases[widths].append((c, bits, _reference_run(c, c.gates), marginal_one_prob(
+                _reference_run(c, loaded), c.output_qubit, c.n_qubits)))
+    barrier = threading.Barrier(2)
+
+    def loop(widths):
+        barrier.wait(timeout=60)
+        for _ in range(5):
+            for c, bits, state, prob in cases[widths]:
+                assert np.abs(qsim.run(c) - state).max() <= 1e-12
+                assert abs(qsim.accept_prob(c, bits) - prob) <= 1e-12
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _in_new_threads(*(functools.partial(loop, w) for w in cases))
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_swaps_move_the_output_qubit():

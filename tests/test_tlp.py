@@ -3,6 +3,7 @@ rejection, serialization, and calibration."""
 
 import itertools
 import math
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -155,6 +156,14 @@ def test_calibrate_cell_floors_short_circuit_times():
     # 1.4 units, 1.4^1.5 * 250 ~ 415 steps at 10^6 steps/s, so the solve
     # outlasts the circuit.
     assert bench.calibrate_cell(0.1, 0.5, 1e6) > 100
+
+
+def test_first_call_time_calls_once_in_a_new_thread():
+    # A new thread holds no simulator workspace, so the call it times is
+    # the cold one a one-shot prover makes.
+    idents = []
+    assert bench.first_call_time(lambda: idents.append(threading.get_ident())) >= 0
+    assert len(idents) == 1 and idents[0] != threading.get_ident()
 
 
 def test_calibrate_mu_validation():
