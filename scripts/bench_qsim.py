@@ -18,9 +18,16 @@ comparison of two source trees.
         named groups (see `_groups`).  Stops if a worker's pvqc, the one
         it imported, is not in its tree.
 
+The simulator plans a circuit's schedule on its first simulation and
+keeps it on the circuit; later calls replay it.  The rows that time a
+circuit repeatedly (the per-kind, corpus, fixture, HHL and random rows)
+therefore time replays, best of their repetitions; the planning is timed
+only by the cold and first-call rows below.
+
 Per-kind rows: a two-qubit kind is timed alone, 200 gates on random pairs;
-a SWAP relabels two qubits and touches no amplitude, so its rows time the
-relabel.  A one-qubit kind is timed as 200 (gate, partner) pairs minus 200
+a SWAP relabels two qubits and touches no amplitude, so its rows time a
+replay of an empty schedule (the relabels happen when it is planned).  A
+one-qubit kind is timed as 200 (gate, partner) pairs minus 200
 partners alone, where the partner is a two-qubit gate on the gate's qubit
 that does not commute with it, so each gate is applied on its own, neither
 fused nor left pending: a CNOT whose target is the gate's qubit for the
@@ -31,7 +38,11 @@ qubit in front, so such a row's (gate, partner) pair includes that copy.
 Corpus rows: `qsim.accept_prob` of every statement of
 `fixtures.accepting_corpus()`, as one pass (`corpus_accept_prob_ms`) and
 as `corpus_accept_prob_ms.<n>q`, the best time of each n-qubit statement
-summed; `dvproof.circuit_digest` of every statement; and
+summed; `corpus_accept_prob_cold_ms`, the same sum over COLD_CALL_REPS
+calls per statement, each on a new `Circuit` of its fields, which holds
+no schedule yet, in the measuring thread, whose buffers and views are
+built: the miss path of a prover that parses a new circuit per call;
+`dvproof.circuit_digest` of every statement; and
 `compiler.vc_verify_explain` of every statement on the parsed records of
 the CLI sessions below.
 
@@ -45,9 +56,10 @@ ledgers and clocks made before the timing starts.
 First-call rows: `corpus_accept_prob_first_ms` and `corpus_run_first_ms`
 sum, over the corpus statements, the best of FIRST_REPS timings of
 `qsim.accept_prob` and `qsim.run` as the first call of a new thread, which
-holds no simulator buffers or views yet, as a one-shot `pvqc prove` does;
-`fixture_accept_prob_first_us` is the same for the fixture, best of
-FIXTURE_FIRST_REPS.  Thread start is not timed.
+holds no simulator buffers or views yet, on a new `Circuit` of the
+statement's fields, which holds no schedule, as a one-shot `pvqc prove`
+does; `fixture_accept_prob_first_us` is the same for the fixture, best of
+FIXTURE_FIRST_REPS.  Thread start and the copy are not timed.
 
 HHL row: `hhl_run_ms` is `qsim.run` of the HHL circuits of `pvqc bench
 hhl`, one per size in `bench.HHL_SIZES`, drawn from `bench.HHL_SEED` as
@@ -114,6 +126,7 @@ CHAIN_REPS = 5
 FIXTURE_CALLS = 500
 FIRST_REPS = 5
 FIXTURE_FIRST_REPS = 50
+COLD_CALL_REPS = 5
 
 
 def _best_ms(fn, reps: int) -> float:
@@ -292,6 +305,13 @@ def _kind_rows(n: int) -> dict[str, float]:
     return out
 
 
+def _unscheduled(c):
+    """A new circuit of c's fields: its first simulation plans its schedule."""
+    from pvqc import qsim
+
+    return qsim.Circuit(c.n_qubits, c.gates, c.output_qubit, c.n_inputs)
+
+
 def _corpus_rows(corpus) -> dict[str, float]:
     from pvqc import qsim
 
@@ -300,6 +320,10 @@ def _corpus_rows(corpus) -> dict[str, float]:
     for n in sorted({c.n_qubits for c, _ in corpus}):
         out[f"corpus_accept_prob_ms.{n}q"] = sum(
             _best_ms(lambda: qsim.accept_prob(c, x), 5) for c, x in corpus if c.n_qubits == n)
+    copies = [[_unscheduled(c) for _ in range(COLD_CALL_REPS)] for c, _ in corpus]
+    out["corpus_accept_prob_cold_ms"] = sum(
+        min(_best_ms(lambda: qsim.accept_prob(fresh, x), 1) for fresh in fresh_copies)
+        for fresh_copies, (_, x) in zip(copies, corpus))
     return out
 
 
@@ -321,11 +345,13 @@ def _fixture_rows() -> dict[str, float]:
             "fixture_vc_prove_us": prove_ms / FIXTURE_CALLS * 1e3}
 
 
-def _first_call_ms(fn, reps: int) -> float:
-    """Best ms of fn() over reps calls, each the first call of a new thread."""
+def _first_call_ms(fn, c, reps: int) -> float:
+    """Best ms of fn(a new circuit of c's fields) over reps calls, each the
+    first call of a new thread."""
     best = []
     for _ in range(reps):
-        thread = threading.Thread(target=lambda: best.append(_best_ms(fn, 1)))
+        fresh = _unscheduled(c)
+        thread = threading.Thread(target=lambda: best.append(_best_ms(lambda: fn(fresh), 1)))
         thread.start()
         thread.join()
     return min(best)
@@ -334,14 +360,14 @@ def _first_call_ms(fn, reps: int) -> float:
 def _first_rows(corpus) -> dict[str, float]:
     from pvqc import fixtures, qsim
 
-    fixture = fixtures.small_accepting_circuit()
+    fixture, bits = fixtures.small_accepting_circuit()
     return {
         "corpus_accept_prob_first_ms": sum(
-            _first_call_ms(lambda: qsim.accept_prob(c, x), FIRST_REPS) for c, x in corpus),
+            _first_call_ms(lambda f: qsim.accept_prob(f, x), c, FIRST_REPS) for c, x in corpus),
         "corpus_run_first_ms": sum(
-            _first_call_ms(lambda: qsim.run(c), FIRST_REPS) for c, _ in corpus),
+            _first_call_ms(qsim.run, c, FIRST_REPS) for c, _ in corpus),
         "fixture_accept_prob_first_us": _first_call_ms(
-            lambda: qsim.accept_prob(*fixture), FIXTURE_FIRST_REPS) * 1e3,
+            lambda f: qsim.accept_prob(f, bits), fixture, FIXTURE_FIRST_REPS) * 1e3,
     }
 
 

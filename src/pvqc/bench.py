@@ -8,10 +8,11 @@ for eps = 0.5 the target is at least 2.6 times T (the minimum, 3^1.5 / 2,
 falls at T = 2 units), where T^(1+eps) alone equals T at T = 1 unit.  For
 T of many units the two agree to within a factor (1 + 1/T)^(1+eps).  (In
 straight seconds the exponent would shrink sub-second times instead of
-growing them.)  In `bench_circuits` T is the larger of a median of repeated calls and a first
-call in a new thread, which pays for the simulator's per-thread buffers
-and views.  Wall-clock columns are machine-dependent; medians are
-used to resist scheduler noise.
+growing them.)  In `bench_circuits` T is the larger of a median of
+repeated calls and a first call (`first_call_time`), which plans the
+circuit's schedule and builds the simulator's per-thread buffers and
+views, as a one-shot `pvqc prove` does.  Wall-clock columns are
+machine-dependent; medians are used to resist scheduler noise.
 """
 
 from __future__ import annotations
@@ -50,13 +51,16 @@ def _median_time(fn, repetitions: int) -> float:
     return statistics.median(_timed(fn)[1] for _ in range(repetitions))
 
 
-def first_call_time(fn) -> float:
-    """Wall-clock seconds of fn() as the first call of a new thread.  The
-    simulator keeps its buffers and views per thread, so this is the call
-    of a one-shot prover, which builds them, where repeated calls of one
-    width in a thread reuse them."""
+def first_call_time(c: qsim.Circuit, x) -> float:
+    """Wall-clock seconds of `qsim.accept_prob` of c on x as the first call
+    of a new thread, on a new `Circuit` of c's fields.  The simulator keeps
+    a circuit's schedule on the circuit and its buffers and views per
+    thread, so this is the call of a one-shot prover, which plans the one
+    and builds the others, where repeated calls replay and reuse them."""
+    fresh = qsim.Circuit(c.n_qubits, c.gates, c.output_qubit, c.n_inputs)
+    accept_prob = qsim.accept_prob      # loads the simulator outside the timing
     seconds = []
-    thread = threading.Thread(target=lambda: seconds.append(_timed(fn)[1]))
+    thread = threading.Thread(target=lambda: seconds.append(_timed(accept_prob, fresh, x)[1]))
     thread.start()
     thread.join()
     return seconds[0]
@@ -118,9 +122,8 @@ def calibrate_cell(t_ms: float, epsilon: float, hash_rate: float) -> int:
 
 def bench_circuits(repetitions: int) -> list[dict]:
     """Median simulation time per (qubits, depth) cell, the time of a first
-    call of it in a new thread (`first_call_time`), the mu the calibration
-    chooses for the larger of the two, and the solve and GenPuzzle times
-    for that mu."""
+    call of it (`first_call_time`), the mu the calibration chooses for the
+    larger of the two, and the solve and GenPuzzle times for that mu."""
     if repetitions < 1:
         raise ParameterError("repetitions must be >= 1")
     hash_rate = measure_hash_rate()
@@ -131,7 +134,7 @@ def bench_circuits(repetitions: int) -> list[dict]:
             circuit = qsim.random_circuit(n, depth, CIRCUIT_SEED + 1000 * n + depth)
             x = [0] * n
             t_ms = _median_time(lambda: accept_prob(circuit, x), repetitions) * 1e3
-            first_ms = first_call_time(lambda: accept_prob(circuit, x)) * 1e3
+            first_ms = first_call_time(circuit, x) * 1e3
             mu = calibrate_cell(max(t_ms, first_ms), DEFAULT_EPSILON, hash_rate)
             _, gen_s, solve_s = _time_puzzle(mu, 1, 1)
             rows.append({
@@ -144,20 +147,28 @@ def bench_circuits(repetitions: int) -> list[dict]:
     return rows
 
 
-def bench_hhl() -> list[dict]:
-    """Depth estimate, execution time, calibrated mu, and fidelity for
-    well-conditioned Hermitian instances of each size."""
+def hhl_instances() -> list[qsim.HhlInstance]:
+    """One well-conditioned Hermitian instance of each size in HHL_SIZES,
+    drawn from HHL_SEED."""
     import numpy as np
 
-    hash_rate = measure_hash_rate()
     rng = np.random.default_rng(HHL_SEED)
-    rows = []
+    instances = []
     for n in HHL_SIZES:
         m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         a = (m + m.conj().T) / 2 + 2.0 * n * np.eye(n)   # well-conditioned
         b = rng.normal(size=n) + 1j * rng.normal(size=n)
-        b = b / np.linalg.norm(b)
-        inst = qsim.HhlInstance(a=a, b=b)
+        instances.append(qsim.HhlInstance(a=a, b=b / np.linalg.norm(b)))
+    return instances
+
+
+def bench_hhl() -> list[dict]:
+    """Depth estimate, execution time, calibrated mu, and fidelity for
+    the instances of `hhl_instances`."""
+    hash_rate = measure_hash_rate()
+    rows = []
+    for inst in hhl_instances():
+        n = len(inst.b)
         circuit = qsim.build_hhl(inst)
         fidelity, elapsed = _timed(qsim.hhl_fidelity, inst)
         rows.append({

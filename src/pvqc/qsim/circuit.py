@@ -40,7 +40,8 @@ _GATE_SHAPE = {k: (a, int(k in PARAM_GATES)) for k, a in GATE_ARITY.items()}
 
 class Gate(Record):
     """One gate.  Targets and params become tuples; a DENSE_UNITARY matrix
-    becomes a complex array, and equality and the hash ignore it."""
+    becomes a read-only complex copy, which no caller's array aliases, and
+    equality and the hash ignore it."""
 
     __slots__ = ("kind", "targets", "params", "matrix")
     _uncompared = ("matrix",)
@@ -61,7 +62,8 @@ class Gate(Record):
                 raise ParameterError("DENSE_UNITARY requires a matrix")
             import numpy as np      # only dense gates need numpy
             dim = 2 ** len(targets)
-            matrix = np.asarray(matrix, dtype=complex)
+            matrix = np.array(matrix, dtype=complex)
+            matrix.flags.writeable = False
             if matrix.shape != (dim, dim):
                 raise ParameterError("matrix shape does not match target count")
             if params:
@@ -77,8 +79,25 @@ class Gate(Record):
         setfield(self, "params", params)
         setfield(self, "matrix", matrix)
 
+    def __reduce__(self):
+        # pickle and copy rebuild the gate, so a copied matrix is read-only too.
+        return Gate, (self.kind, self.targets, self.params, self.matrix)
 
-class Circuit(Record):
+
+class _Scheduled:
+    """The slot in which the simulator keeps a circuit's schedule
+    (`simulator._schedule`), filled by its first simulation.  It is no
+    record field: equality, the hash and the repr ignore it, and pickle
+    and copy leave it out, so a copy plans its own."""
+
+    __slots__ = ("_schedule",)
+
+    def __getstate__(self):
+        # The fields only: `self.__slots__` is the record class's.
+        return None, {f: getattr(self, f) for f in self.__slots__}
+
+
+class Circuit(Record, _Scheduled):
     """A statement's circuit.  Gates become a tuple, and `n_inputs`
     defaults to `n_qubits`."""
 

@@ -2,10 +2,17 @@
 
 `apply_gate` is the pure single-gate reference the tests check against.
 `run` and `accept_prob` apply a whole gate list in place on one buffer
-whose qubit order is free (`_simulate`).  A diagonal one-qubit matrix scales
-it in place; any other matrix, and a DENSE_UNITARY on k qubits, is one
-(2^k,2^k) @ (2^k, 2^(n-k)) product on a copy with those k axes in front.
-The buffer, its scratch copy and their views belong to the calling thread
+whose qubit order is free.  The first simulation of a circuit plans its
+kernels (`_schedule`): it fuses one-qubit gates, decides where each
+pending matrix is flushed, follows the qubit map and builds each
+product's matrix, none of which depends on the input.  It keeps the list
+on the circuit, and every simulation, the first included, replays it
+(`_simulate`), in any thread.  A kernel scales a slice of the buffer in
+place, swaps two slices (CNOT), or is one (2^k,2^k) @ (2^k, 2^(n-k))
+product on a copy with k axes in front (a matrix that is not diagonal,
+or a DENSE_UNITARY on k qubits).  A caller that simulates a circuit once,
+as a one-shot `pvqc prove` does, pays the planning in that call.  The
+buffer, its scratch copy and their views belong to the calling thread
 and are reused by its later calls (`_workspace`).
 """
 
@@ -19,12 +26,13 @@ import threading
 import numpy as np
 
 from ..errors import ParameterError
-from .circuit import DIAGONAL_GATES, SINGLE_GATES, Circuit, Gate, UNITARY_TOL, input_bits
+from ..record import setfield
+from .circuit import SINGLE_GATES, Circuit, Gate, UNITARY_TOL, input_bits
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 # One-qubit gate entries as nested tuples of Python complexes: the fused
-# runs of `_simulate` multiply them directly, `gate_matrix` wraps them.
+# runs of `_schedule` multiply them directly, `gate_matrix` wraps them.
 _FIXED_1Q = {
     "X": ((0j, 1 + 0j), (1 + 0j, 0j)),
     "Y": ((0j, -1j), (1j, 0j)),
@@ -147,16 +155,17 @@ def _layout(n: int, qubits: tuple[int, ...]) -> tuple:
 
 
 class _Views(dict):
-    """Views of one state buffer keyed by (qubit, bit) pairs: the view
-    holds the amplitudes at which every pair holds.  Kernels pass
-    order="C" to their ufuncs, so a view's last axis is the inner loop."""
+    """Views of one state buffer keyed by (qubit, bit) pairs, sorted by
+    qubit: the view holds the amplitudes at which every pair holds.
+    Kernels pass order="C" to their ufuncs, so a view's last axis is the
+    inner loop."""
 
     def __init__(self, state: np.ndarray, n: int):
         super().__init__()
         self.state, self.n = state, n
 
     def __missing__(self, fixed: tuple[tuple[int, int], ...]) -> np.ndarray:
-        qubits, bits = zip(*sorted(fixed))
+        qubits, bits = zip(*fixed)
         index = [slice(None)] * (2 * len(bits) + 1)
         index[1::2] = bits
         view = self.state.reshape(_layout(self.n, qubits)[0])[tuple(index)]
@@ -174,54 +183,22 @@ def _matmul_2x2(x: tuple, y: tuple) -> tuple:
     return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
 
 
-def _apply_1q(views: _Views, m: tuple, q: int) -> None:
-    """Diagonal m (nested tuples) on qubit q, in place: scales the halves
-    whose entry is not 1."""
-    for b, d in enumerate((m[0][0], m[1][1])):
-        if d != 1:
-            half = views[(q, b),]
-            np.multiply(half, d, out=half, order="C")
-
-
 class _Fronts(dict):
     """Views of one state buffer and a scratch buffer of its size.  Keyed by
     a tuple of k physical qubits: the state with their axes in front, the
-    scratch view it is copied into, the product's operand (scratch) and
-    output (state), both (2^k, 2^(n-k)), and `moved`."""
+    scratch view it is copied into, and the product's operand (scratch)
+    and output (state), both (2^k, 2^(n-k))."""
 
     def __init__(self, state: np.ndarray, n: int, scratch: np.ndarray):
         super().__init__()
         self.state, self.n, self.scratch = state, n, scratch
 
     def __missing__(self, key: tuple[int, ...]) -> tuple:
-        shape, axes, moved = _layout(self.n, key)
+        shape, axes, _ = _layout(self.n, key)
         src, k = self.state.reshape(shape).transpose(axes), len(key)
         into, front = self.scratch.reshape(src.shape), self.scratch.reshape(1 << k, -1)
-        self[key] = entry = (src, into, front, self.state.reshape(1 << k, -1), moved)
+        self[key] = entry = (src, into, front, self.state.reshape(1 << k, -1))
         return entry
-
-
-def _apply_front(fronts: _Fronts, mat: np.ndarray, key: tuple[int, ...]) -> tuple | None:
-    """mat on physical qubits key (key[0] its high bit) as one product; returns `moved`."""
-    src, into, front, out, moved = fronts[key]
-    np.copyto(into, src)
-    np.matmul(mat, front, out=out)
-    return moved
-
-
-def _apply_2q(views: _Views, g: Gate, a: int, b: int) -> None:
-    """A CNOT or diagonal two-qubit gate on physical qubits a, b, in place."""
-    if g.kind in DIAGONAL_GATES:
-        d = _corner_2q(g)
-        if d != 1:
-            v = views[(a, 1), (b, 1)]
-            np.multiply(v, d, out=v, order="C")
-        return
-    # CNOT swaps |10> with |11>.
-    s0, s1 = views[(a, 1), (b, 0)], views[(a, 1), (b, 1)]
-    old0 = s0.copy(order="C")
-    np.copyto(s0, s1)
-    np.copyto(s1, old0)
 
 
 _local = threading.local()
@@ -243,35 +220,43 @@ def _workspace(n: int) -> tuple[_Views, _Fronts]:
     return entry
 
 
-def _simulate(c: Circuit, basis: int) -> tuple[_Views, list[int]]:
-    """Apply the gate list in order to the basis state |basis>, in place on
-    this thread's buffer, and return its views and the map `phys` that
-    places logical qubit q on physical qubit phys[q] of it.  The buffer is
-    overwritten by the thread's next call.
+# The kernels of a schedule, each an op (kind, key, arg):
+#   _SCALE  multiplies the view `key` (a `_Views` key) by the scalar `arg`;
+#   _SWAP   exchanges the views `key` and `arg`;
+#   _FRONT  applies the matrix `arg` to the physical qubits `key` as one
+#           gathered product (a `_Fronts` key).
+_SCALE, _SWAP, _FRONT = range(3)
 
-    A SWAP exchanges two entries of `phys` and touches no amplitude; every
-    other gate acts on the physical qubits its targets map to.  One-qubit
-    gates on a physical qubit are multiplied into one pending 2x2 matrix.
-    A two-qubit gate flushes a pending matrix only when the two do not
+
+def _schedule(c: Circuit) -> tuple[tuple, tuple[int, ...]]:
+    """The kernels that apply c's gate list, in order, and the map `phys`
+    they leave, which places logical qubit q on physical qubit phys[q].
+    The schedule holds no view or buffer, so every thread can replay it
+    (`_simulate`), and it does not depend on the input.
+
+    A SWAP exchanges two entries of `phys` and adds no kernel; every other
+    gate acts on the physical qubits its targets map to.  One-qubit gates
+    on a physical qubit are multiplied into one pending 2x2 matrix.  A
+    two-qubit gate flushes a pending matrix only when the two do not
     commute: a diagonal one stays pending across CZ, CPHASE and a CNOT
     control, an X-type one (`_is_x_type`) across a CNOT target.  Each gate
     moved past commutes with it exactly, so the result is the gate list's,
-    up to rounding.  A DENSE_UNITARY flushes its qubits and then, as a
-    flushed matrix that is not diagonal does, moves them to the front
-    (`_apply_front`), which `phys` and the keys of `pending` follow.  The
-    end of the circuit flushes the rest."""
-    global _run_calls
-    _run_calls += 1
+    up to rounding.  A flushed diagonal matrix scales the halves of the
+    buffer whose entry is not 1; CZ and CPHASE scale the |11> slice, and a
+    CNOT swaps the |10> and |11> slices of its qubits.  A DENSE_UNITARY
+    flushes its qubits and then, as a flushed matrix that is not diagonal
+    does, is one gathered product, which moves its qubits to the front
+    (`_layout`); `phys` and the keys of `pending` follow.  The end of the
+    circuit flushes the rest."""
     n = c.n_qubits
-    views, fronts = _workspace(n)
-    views.state.fill(0)
-    views.state[basis] = 1.0
+    ops = []
     phys = list(range(n))
     pending: dict[int, tuple] = {}      # physical qubit -> matrix not yet applied
 
     def product(mat: np.ndarray, key: tuple[int, ...]) -> None:
         nonlocal pending
-        moved = _apply_front(fronts, mat, key)
+        ops.append((_FRONT, key, mat))
+        moved = _layout(n, key)[2]
         if moved is not None:
             phys[:] = [moved[p] for p in phys]
             pending = {moved[p]: r for p, r in pending.items()}
@@ -279,7 +264,9 @@ def _simulate(c: Circuit, basis: int) -> tuple[_Views, list[int]]:
     def flush(q: int) -> None:
         m = pending.pop(q)
         if _is_diagonal(m):
-            _apply_1q(views, m, q)
+            for b, d in enumerate((m[0][0], m[1][1])):
+                if d != 1:
+                    ops.append((_SCALE, ((q, b),), d))
         else:
             product(np.array(m), (q,))
 
@@ -305,9 +292,47 @@ def _simulate(c: Circuit, basis: int) -> tuple[_Views, list[int]]:
             m = pending.get(phys[second])
             if m is not None and not (_is_x_type(m) if kind == "CNOT" else _is_diagonal(m)):
                 flush(phys[second])
-            _apply_2q(views, g, phys[first], phys[second])
+            a, b = phys[first], phys[second]
+            ones = ((a, 1), (b, 1)) if a < b else ((b, 1), (a, 1))
+            if kind == "CNOT":
+                ops.append((_SWAP, ((a, 1), (b, 0)) if a < b else ((b, 0), (a, 1)), ones))
+            elif (d := _corner_2q(g)) != 1:
+                ops.append((_SCALE, ones, d))
     while pending:
         flush(next(iter(pending)))
+    return tuple(ops), tuple(phys)
+
+
+def _simulate(c: Circuit, basis: int) -> tuple[_Views, tuple[int, ...]]:
+    """Replay c's schedule on the basis state |basis>, in place on this
+    thread's buffer, and return its views and the map `phys` of
+    `_schedule`.  The first simulation of c plans its schedule and keeps
+    it on c; later ones, in any thread, replay it.  Threads that plan c
+    at once store equal schedules, so whichever stays serves.  The
+    buffer is overwritten by the thread's next call."""
+    global _run_calls
+    _run_calls += 1
+    planned = getattr(c, "_schedule", None)
+    if planned is None:
+        planned = _schedule(c)
+        setfield(c, "_schedule", planned)
+    ops, phys = planned
+    views, fronts = _workspace(c.n_qubits)
+    views.state.fill(0)
+    views.state[basis] = 1.0
+    for kind, key, arg in ops:
+        if kind == _SCALE:
+            v = views[key]
+            np.multiply(v, arg, out=v, order="C")
+        elif kind == _FRONT:
+            src, into, front, out = fronts[key]
+            np.copyto(into, src)
+            np.matmul(arg, front, out=out)
+        else:
+            s0, s1 = views[key], views[arg]
+            old0 = s0.copy(order="C")
+            np.copyto(s0, s1)
+            np.copyto(s1, old0)
     return views, phys
 
 
@@ -315,7 +340,7 @@ def run(c: Circuit) -> np.ndarray:
     """Apply the gate list in order to |0...0>. Pure and deterministic;
     the result is a new array, in logical qubit order."""
     views, phys = _simulate(c, 0)
-    if phys == list(range(c.n_qubits)):
+    if phys == tuple(range(c.n_qubits)):
         return views.state.copy()
     return views.state.reshape([2] * c.n_qubits).transpose(phys).flatten()
 

@@ -1,10 +1,12 @@
 """Simulator tests: analytic probabilities, unitarity/normalization,
 gate inverses, depth metric, text round-trips, and instrumentation."""
 
+import copy
 import functools
 import hashlib
 import itertools
 import math
+import pickle
 import struct
 import sys
 import threading
@@ -15,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pvqc import fixtures, qsim
+from pvqc import bench, fixtures, qsim
 from pvqc.errors import FormatError, ParameterError
 from pvqc.qsim import simulator
 from pvqc.qsim.circuit import (_PLAIN_GATES, DOUBLE_GATES, GATE_ARITY, MAX_QUBITS,
@@ -244,33 +246,34 @@ def test_front_flushes_match_reference_fold(case):
     _assert_matches_reference_fold(*case)
 
 
-def _kernel_calls(monkeypatch, c):
-    """The kernels `qsim.run(c)` applies, in order: ("1q", q) for a flushed
-    diagonal matrix, q the physical qubit it scales; ("front", key) for a
+def _kernel_calls(c):
+    """The kernels of c's schedule, in order, after checking that `qsim.run`,
+    which plans and replays it, matches the reference: ("scale", q, b) for
+    the half of a flushed diagonal matrix whose entry is not 1, b the bit
+    of physical qubit q it scales; ("corner", a, b) for the |11> slice of a
+    CZ or CPHASE on physical qubits a < b; ("cnot", a, b) for a CNOT whose
+    control and target sit at physical a and b; and ("front", key) for a
     gathered product, key the physical qubits of a flushed matrix that is
-    not diagonal or of a DENSE_UNITARY; and the gate kind for a two-qubit
-    gate.  A product leaves the key's qubits at physical positions 0..k-1,
-    in key order, and the other qubits after them in their old order."""
-    calls = []
-    apply_1q, apply_front = simulator._apply_1q, simulator._apply_front
-    apply_2q = simulator._apply_2q
-
-    def diagonal(views, m, q):
-        calls.append(("1q", q))
-        apply_1q(views, m, q)
-
-    def front(fronts, mat, key):
-        calls.append(("front", key))
-        return apply_front(fronts, mat, key)
-
-    def two(views, g, a, b):
-        calls.append(g.kind)
-        apply_2q(views, g, a, b)
-
-    monkeypatch.setattr(simulator, "_apply_1q", diagonal)
-    monkeypatch.setattr(simulator, "_apply_front", front)
-    monkeypatch.setattr(simulator, "_apply_2q", two)
+    not diagonal or of a DENSE_UNITARY.  A product leaves the key's qubits
+    at physical positions 0..k-1, in key order, and the other qubits after
+    them in their old order.  Every view key is sorted by qubit."""
     assert np.abs(qsim.run(c) - _reference_run(c, c.gates)).max() <= 1e-12
+    calls = []
+    for kind, key, arg in c._schedule[0]:
+        if kind == simulator._FRONT:
+            calls.append(("front", key))
+            continue
+        assert list(key) == sorted(key)
+        if kind == simulator._SWAP:
+            (control, _), = (p for p in key if p[1] == 1)
+            (target, _), = (p for p in key if p[1] == 0)
+            assert arg == tuple(sorted(((control, 1), (target, 1))))
+            calls.append(("cnot", control, target))
+        elif len(key) == 1:
+            calls.append(("scale", *key[0]))
+        else:
+            assert [b for _, b in key] == [1, 1]
+            calls.append(("corner", key[0][0], key[1][0]))
     return calls
 
 
@@ -290,44 +293,47 @@ _H01 = (Gate("H", (0,)), Gate("H", (1,)))
     # Diagonal pendings pass CZ and CPHASE on either qubit and a CNOT
     # control; S on qubit 1 is flushed by the CNOT that targets it.  The
     # flush of H on qubit 1 puts qubit 1 at physical 0 and qubit 0 at 1.
+    # A diagonal flush scales only the halves whose entry is not 1: S the
+    # bit-1 half, the product of T, RZ and PHASE both.
     ((*_H01, Gate("CZ", (0, 1)), Gate("T", (0,)), Gate("CZ", (0, 1)), Gate("S", (1,)),
       Gate("CPHASE", (1, 0), params=(0.4,)), Gate("RZ", (0,), params=(0.3,)),
       Gate("CNOT", (0, 1)), Gate("PHASE", (0,), params=(1.1,))),
-     [("front", (0,)), ("front", (1,)), "CZ", "CZ", "CPHASE", ("1q", 0), "CNOT", ("1q", 1)]),
+     [("front", (0,)), ("front", (1,)), ("corner", 0, 1), ("corner", 0, 1),
+      ("corner", 0, 1), ("scale", 0, 1), ("cnot", 1, 0), ("scale", 1, 0), ("scale", 1, 1)]),
     # RX and X pass a CNOT target.
     ((Gate("H", (0,)), Gate("RX", (1,), params=(0.6,)), Gate("CNOT", (0, 1)),
       Gate("X", (1,)), Gate("CNOT", (0, 1))),
-     [("front", (0,)), "CNOT", "CNOT", ("front", (1,))]),
+     [("front", (0,)), ("cnot", 0, 1), ("cnot", 0, 1), ("front", (1,))]),
     # H commutes with no two-qubit gate, so CZ flushes it; qubit 0 then
     # sits at physical 1.
     ((*_H01, Gate("CZ", (0, 1)), Gate("H", (0,))),
-     [("front", (0,)), ("front", (1,)), "CZ", ("front", (1,))]),
+     [("front", (0,)), ("front", (1,)), ("corner", 0, 1), ("front", (1,))]),
     # The flush of H on the CNOT's control, qubit 2, moves its target,
     # qubit 1, from physical 1 to 2, where its own H is then flushed.
     ((Gate("H", (2,)), Gate("H", (1,)), Gate("CNOT", (2, 1))),
-     [("front", (2,)), ("front", (2,)), "CNOT"]),
+     [("front", (2,)), ("front", (2,)), ("cnot", 1, 0)]),
     # The flush of H on qubit 1 moves qubit 0, whose S stays pending across
     # it, from physical 0 to 1, and S follows it there.
     ((Gate("H", (0,)), Gate("CZ", (0, 1)), Gate("S", (0,)), Gate("H", (1,)),
       Gate("CNOT", (1, 2))),
-     [("front", (0,)), "CZ", ("front", (1,)), "CNOT", ("1q", 1)]),
+     [("front", (0,)), ("corner", 0, 1), ("front", (1,)), ("cnot", 0, 2), ("scale", 1, 1)]),
     # The flush of H puts qubits 2, 0, 1 at physical 0, 1, 2, and the SWAP
     # relabels qubits 0 and 1, so the dense gate on (0, 2) acts on physical
     # (2, 0) and leaves qubit 0 at 0, 2 at 1 and 1 at 2, where S is flushed.
     ((Gate("H", (2,)), Gate("CZ", (2, 1)), Gate("SWAP", (0, 1)), _dense((0, 2)),
       Gate("S", (1,))),
-     [("front", (2,)), "CZ", ("front", (2, 0)), ("1q", 2)]),
+     [("front", (2,)), ("corner", 0, 2), ("front", (2, 0)), ("scale", 2, 1)]),
     # A dense gate first flushes the matrices pending on its qubits; the
     # flush of H moves qubit 0 and its T to physical 1, and the dense gate
     # then acts on the front qubits in order, which moves nothing.
     ((Gate("H", (1,)), Gate("T", (0,)), _dense((1, 0))),
-     [("front", (1,)), ("1q", 1), ("front", (0, 1))]),
+     [("front", (1,)), ("scale", 1, 1), ("front", (0, 1))]),
 ], ids=["swap-only", "diagonal-passes", "x-type-passes-cnot-target", "h-flushed",
         "flush-moves-second-target", "flush-moves-pending-diagonal",
         "dense-after-flush-and-swap", "dense-flushes-its-pendings"])
-def test_schedule_applies_only_the_kernels_it_must(monkeypatch, gates, expected):
+def test_schedule_applies_only_the_kernels_it_must(gates, expected):
     c = qsim.Circuit(n_qubits=3, gates=gates, output_qubit=2)
-    assert _kernel_calls(monkeypatch, c) == expected
+    assert _kernel_calls(c) == expected
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -371,7 +377,7 @@ def test_run_result_belongs_to_the_caller():
     later = [qsim.random_circuit(n, 30, seed) for n, seed in ((5, 1), (9, 2), (3, 3))]
 
     def check():
-        assert simulator._simulate(kept_circuit, 0)[1] == list(range(5))
+        assert simulator._simulate(kept_circuit, 0)[1] == tuple(range(5))
         kept = qsim.run(kept_circuit)
         snapshot = kept.copy()
         assert np.abs(kept - _reference_run(kept_circuit, kept_circuit.gates)).max() <= 1e-12
@@ -385,12 +391,16 @@ def test_run_result_belongs_to_the_caller():
 def test_threads_simulate_on_their_own_workspaces():
     # Two threads, each alternating between two widths (one shared), with
     # the interpreter switching threads every microsecond so that their
-    # simulations interleave; a shared buffer would mix their states.
+    # simulations interleave; a shared buffer would mix their states.  The
+    # circuits of the shared width are the same objects in both threads,
+    # unscheduled when the threads start, so both plan and replay one
+    # circuit at once.
+    circuit = functools.cache(lambda n, seed: qsim.random_circuit(n, 40, seed))
     cases = {}
     for widths in ((4, 8), (6, 8)):
         cases[widths] = []
         for i, n in enumerate(widths * 4):
-            c = qsim.random_circuit(n, 40, 100 * n + i)
+            c = circuit(n, 100 * n + i)
             bits = [(i >> q) & 1 for q in range(n)]
             loaded = tuple(Gate("X", (q,)) for q, b in enumerate(bits) if b) + c.gates
             cases[widths].append((c, bits, _reference_run(c, c.gates), marginal_one_prob(
@@ -404,6 +414,9 @@ def test_threads_simulate_on_their_own_workspaces():
                 assert np.abs(qsim.run(c) - state).max() <= 1e-12
                 assert abs(qsim.accept_prob(c, bits) - prob) <= 1e-12
 
+    shared = [c for c, *_ in cases[4, 8] if c.n_qubits == 8]
+    assert {id(c) for c in shared} <= {id(c) for c, *_ in cases[6, 8]}
+    assert not any(hasattr(c, "_schedule") for c in shared)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -426,8 +439,8 @@ def test_swaps_move_the_output_qubit():
 ])
 def test_diagonal_fast_path_matches_generic(kind, params):
     # `run` applies the diagonal gate with its in-place kernels: a one-qubit
-    # gate left pending to the end takes `_apply_1q`'s diagonal branch, a
-    # two-qubit one `_apply_2q`'s |11> slice.  The H layer gives every
+    # gate left pending to the end scales the halves of its qubit, a
+    # two-qubit one its |11> slice.  The H layer gives every
     # amplitude the same magnitude, so a kernel that scales a wrong slice
     # or by a wrong entry moves some of them.  H is not diagonal, so the CZ
     # chain flushes it before the CZs; a diagonal layer would pass them.
@@ -446,6 +459,76 @@ def test_dense_unitary_rejects_non_unitary():
     g = Gate("DENSE_UNITARY", (0,), matrix=np.array([[1, 1], [0, 1]], dtype=complex))
     with pytest.raises(ParameterError):
         apply_gate(_rand_state(1), g, 1)
+
+
+def test_dense_gate_keeps_a_read_only_copy_of_its_matrix():
+    # A complex source array is copied too, so writing to it later changes
+    # neither the gate, nor the statement's encoding, nor the simulation,
+    # whether replayed or planned again (which checks unitarity again).
+    source = np.array(_dense((0, 2), seed=5).matrix)
+    g = Gate("DENSE_UNITARY", (0, 2), matrix=source)
+    c = qsim.Circuit(n_qubits=3, gates=(Gate("H", (1,)), g), output_qubit=1)
+    matrix, encoded, state = g.matrix.copy(), qsim.circuit_to_bytes(c), qsim.run(c)
+    source[0, 0] = 5
+    assert np.array_equal(g.matrix, matrix)
+    assert qsim.circuit_to_bytes(c) == encoded
+    assert np.array_equal(qsim.run(c), state)
+    assert np.array_equal(qsim.run(_unscheduled(c)), state)
+    # The gate's matrix, and a copy's, refuse writes.
+    for gate in (g, copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+        assert gate == g and np.array_equal(gate.matrix, matrix)
+        with pytest.raises(ValueError):
+            gate.matrix[0, 0] = 5
+
+
+# ------------------------------------------------------ schedule and replay
+
+def _unscheduled(c):
+    """A new circuit of c's fields, which holds no schedule."""
+    return qsim.Circuit(c.n_qubits, c.gates, c.output_qubit, c.n_inputs)
+
+
+def _assert_replays_match_the_first_call(c, bits):
+    # The first call plans the schedule, whether `run` or `accept_prob`
+    # makes it; every later call replays it, bit for bit the same.
+    by_run, by_prob = _unscheduled(c), _unscheduled(c)
+    state = qsim.run(by_run)
+    prob = qsim.accept_prob(by_prob, bits)
+    for _ in range(2):
+        for replayed in (by_run, by_prob):
+            assert np.array_equal(qsim.run(replayed), state)
+            assert qsim.accept_prob(replayed, bits) == prob
+
+
+def test_replays_match_the_first_call_on_corpus_and_hhl():
+    cases = fixtures.accepting_corpus()
+    hhl = [qsim.build_hhl(inst) for inst in bench.hhl_instances()]
+    assert all(any(g.kind == "DENSE_UNITARY" for g in c.gates) for c in hhl)
+    for c, bits in cases + [(c, []) for c in hhl]:
+        _assert_replays_match_the_first_call(c, bits)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_circuit_and_bits())
+def test_random_replays_match_the_first_call(case):
+    _assert_replays_match_the_first_call(*case)
+
+
+@pytest.mark.parametrize("duplicate", [
+    copy.copy, copy.deepcopy, lambda c: pickle.loads(pickle.dumps(c))],
+    ids=["copy", "deepcopy", "pickle"])
+def test_copies_of_a_scheduled_circuit_simulate_alike(duplicate):
+    # A copy leaves the schedule out, so it pickles no arrays of it and
+    # plans its own on its first simulation, with the same result.
+    gates = (Gate("H", (0,)), Gate("CNOT", (0, 2)), _dense((2, 1), seed=3),
+             Gate("RZ", (1,), params=(0.4,)), Gate("CZ", (1, 0)), Gate("SWAP", (0, 2)))
+    c = qsim.Circuit(n_qubits=3, gates=gates, output_qubit=2)
+    bits = [1, 0, 1]
+    state, prob = qsim.run(c), qsim.accept_prob(c, bits)
+    twin = duplicate(c)
+    assert twin == c and hash(twin) == hash(c) and repr(twin) == repr(c)
+    assert not hasattr(twin, "_schedule")
+    assert np.array_equal(qsim.run(twin), state) and qsim.accept_prob(twin, bits) == prob
 
 
 # -------------------------------------------------------------------- depth
@@ -889,8 +972,12 @@ def test_accept_prob_rejects_non_bit_entries(x):
 
 
 def test_run_calls_counter():
+    # The first call plans the schedule; the replays count as well.
     c = qsim.Circuit(n_qubits=1, gates=(Gate("X", (0,)),), output_qubit=0)
     before = qsim.run_calls()
     qsim.run(c)
+    schedule = c._schedule
     qsim.accept_prob(c, [0])
-    assert qsim.run_calls() == before + 2
+    qsim.run(c)
+    assert c._schedule is schedule
+    assert qsim.run_calls() == before + 3

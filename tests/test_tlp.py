@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pvqc import bench, tlp
+from pvqc import bench, fixtures, qsim, tlp
 from pvqc.errors import FormatError, ParameterError
 from pvqc.meter import MeteredClock
 
@@ -158,12 +158,19 @@ def test_calibrate_cell_floors_short_circuit_times():
     assert bench.calibrate_cell(0.1, 0.5, 1e6) > 100
 
 
-def test_first_call_time_calls_once_in_a_new_thread():
-    # A new thread holds no simulator workspace, so the call it times is
-    # the cold one a one-shot prover makes.
-    idents = []
-    assert bench.first_call_time(lambda: idents.append(threading.get_ident())) >= 0
-    assert len(idents) == 1 and idents[0] != threading.get_ident()
+def test_first_call_time_calls_once_in_a_new_thread(monkeypatch):
+    # A new thread holds no simulator workspace, and a new circuit of the
+    # same fields no schedule, so the call it times is the cold one a
+    # one-shot prover makes, even after the circuit was simulated.
+    c, x = fixtures.small_accepting_circuit()
+    qsim.accept_prob(c, x)
+    calls = []
+    monkeypatch.setattr(qsim, "accept_prob",
+                        lambda *args: calls.append((threading.get_ident(), *args)))
+    assert bench.first_call_time(c, x) >= 0
+    [(ident, fresh, bits)] = calls
+    assert ident != threading.get_ident() and bits is x
+    assert fresh == c and fresh is not c and not hasattr(fresh, "_schedule")
 
 
 def test_calibrate_mu_validation():
