@@ -62,8 +62,8 @@ does; `fixture_accept_prob_first_us` is the same for the fixture, best of
 FIXTURE_FIRST_REPS.  Thread start and the copy are not timed.
 
 HHL row: `hhl_run_ms` is `qsim.run` of the HHL circuits of `pvqc bench
-hhl`, one per size in `bench.HHL_SIZES`, drawn from `bench.HHL_SEED` as
-`bench.bench_hhl` draws them; every block of them is a DENSE_UNITARY.
+hhl`, built from `bench.hhl_instances()`, one per size in
+`bench.HHL_SIZES`; every block of them is a DENSE_UNITARY.
 
 Parse rows: `corpus_parse_ms` is `qsim.circuit_from_text` of the 20 corpus
 texts in the measuring process, after earlier parses, and
@@ -371,30 +371,15 @@ def _first_rows(corpus) -> dict[str, float]:
     }
 
 
-def _hhl_circuits() -> list:
-    import numpy as np
-
-    from pvqc import bench, qsim
-
-    rng = np.random.default_rng(bench.HHL_SEED)
-    circuits = []
-    for n in bench.HHL_SIZES:
-        m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        a = (m + m.conj().T) / 2 + 2.0 * n * np.eye(n)
-        b = rng.normal(size=n) + 1j * rng.normal(size=n)
-        circuits.append(qsim.build_hhl(qsim.HhlInstance(a=a, b=b / np.linalg.norm(b))))
-    return circuits
-
-
 @contextlib.contextmanager
 def _groups():
     """The rows as named groups, each a call that times its rows once, in
     output order, over one corpus and its CLI sessions, built on entry."""
-    from pvqc import dvproof, fixtures, qsim
+    from pvqc import bench, dvproof, fixtures, qsim
 
     corpus = fixtures.accepting_corpus()
     big = qsim.random_circuit(15, 300, 15301)
-    hhl = _hhl_circuits()
+    hhl = [qsim.build_hhl(inst) for inst in bench.hhl_instances()]
     with tempfile.TemporaryDirectory() as tmp:
         argvs = _cli_verify_argvs(corpus, Path(tmp))
         pycache = Path(tmp) / "pycache"

@@ -40,8 +40,8 @@ _GATE_SHAPE = {k: (a, int(k in PARAM_GATES)) for k, a in GATE_ARITY.items()}
 
 class Gate(Record):
     """One gate.  Targets and params become tuples; a DENSE_UNITARY matrix
-    becomes a read-only complex copy, which no caller's array aliases, and
-    equality and the hash ignore it."""
+    must be unitary and becomes a read-only complex copy, which no
+    caller's array aliases, and equality and the hash ignore it."""
 
     __slots__ = ("kind", "targets", "params", "matrix")
     _uncompared = ("matrix",)
@@ -68,6 +68,10 @@ class Gate(Record):
                 raise ParameterError("matrix shape does not match target count")
             if params:
                 raise ParameterError("wrong parameter count for DENSE_UNITARY")
+            # Bounded entries (NaN fails the bound) keep the product finite.
+            if not ((abs(matrix) <= 1 + UNITARY_TOL).all() and np.allclose(
+                    matrix.conj().T @ matrix, np.eye(dim), atol=UNITARY_TOL)):
+                raise ParameterError("DENSE_UNITARY matrix is not unitary")
         elif shape is None:
             raise ParameterError(f"unknown gate kind {kind!r}")
         elif len(targets) != shape[0]:
@@ -79,22 +83,15 @@ class Gate(Record):
         setfield(self, "params", params)
         setfield(self, "matrix", matrix)
 
-    def __reduce__(self):
-        # pickle and copy rebuild the gate, so a copied matrix is read-only too.
-        return Gate, (self.kind, self.targets, self.params, self.matrix)
-
 
 class _Scheduled:
     """The slot in which the simulator keeps a circuit's schedule
     (`simulator._schedule`), filled by its first simulation.  It is no
-    record field: equality, the hash and the repr ignore it, and pickle
-    and copy leave it out, so a copy plans its own."""
+    record field: equality, the hash and the repr ignore it, and a copy
+    or unpickle, which rebuilds the circuit through its constructor,
+    starts without it and plans its own."""
 
     __slots__ = ("_schedule",)
-
-    def __getstate__(self):
-        # The fields only: `self.__slots__` is the record class's.
-        return None, {f: getattr(self, f) for f in self.__slots__}
 
 
 class Circuit(Record, _Scheduled):

@@ -32,8 +32,7 @@ DEFAULT_CLOCK_QUBITS = 6
 class HhlInstance(Record):
     __slots__ = ("a",                 # N x N Hermitian matrix
                  "b",                 # normalized length-N vector
-                 "clock_qubits",
-                 "evolution_time")    # default_evolution_time(a), not an argument
+                 "clock_qubits")
 
     def __init__(self, a: np.ndarray, b: np.ndarray,
                  clock_qubits: int = DEFAULT_CLOCK_QUBITS):
@@ -55,10 +54,14 @@ class HhlInstance(Record):
             raise ParameterError("need at least one clock qubit")
         if n.bit_length() + clock_qubits > MAX_QUBITS:    # log2(n) + clock + ancilla
             raise ParameterError(f"the HHL register must fit in {MAX_QUBITS} qubits")
+        default_evolution_time(a)       # raises if A is zero
         setfield(self, "a", a)
         setfield(self, "b", b)
         setfield(self, "clock_qubits", clock_qubits)
-        setfield(self, "evolution_time", default_evolution_time(a))
+
+    @property
+    def evolution_time(self) -> float:
+        return default_evolution_time(self.a)
 
     @property
     def n(self) -> int:

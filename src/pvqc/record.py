@@ -4,8 +4,10 @@ A record class lists its fields, in positional order, as its `__slots__`,
 and its own `__init__` runs the class's checks and then writes each field
 once with `setfield`.  The base adds what the records share: equality by
 exact type and field values, a matching hash, a repr that names every
-field, and AttributeError on assignment or deletion.  It generates no
-code per class, so defining a record costs no more than a plain class.
+field, AttributeError on assignment or deletion, and copies and unpickles
+that rebuild the record through its `__init__`, so every instance passed
+its checks.  It generates no code per class, so defining a record costs
+no more than a plain class.
 """
 
 from operator import attrgetter
@@ -47,8 +49,6 @@ class Record:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
-    def __setstate__(self, state):
-        # pickle and copy hand a slotted object's fields over as
-        # (None, {field: value}); they were checked when first built.
-        for name, value in state[1].items():
-            setfield(self, name, value)
+    def __reduce__(self):
+        # pickle, copy and deepcopy call the constructor on the fields.
+        return type(self), tuple(getattr(self, f) for f in self.__slots__)

@@ -7,6 +7,7 @@ asymptotic regressions.
 """
 
 import math
+import random
 import time
 
 import numpy as np
@@ -130,21 +131,27 @@ def test_criterion_4_tlp_calibration_contract(capsys):
 
 def test_criterion_5_tlp_sequential_linearity(capsys):
     """Solve wall-clock vs mu over four octaves fits a line with
-    R^2 >= 0.99; the metered step count equals mu exactly."""
+    R^2 >= 0.99; the metered step count equals mu exactly.  Each mu's time
+    is the median of three solves, one per round, and each round takes
+    every mu in a seeded shuffled order: a slow phase of the host then
+    spreads over the mus instead of moving one mu's median."""
     mus = [2**13, 2**14, 2**15, 2**16]
-    times = []
-    metered_exact = True
+    puzzles = {}
     for mu in mus:
         tpk, tsk = tlp.setup(256, mu)
-        puzzle = tlp.gen_puzzle(b"payload", tpk, tsk)
-        samples = []
-        for _ in range(3):
+        puzzles[mu] = tpk, tlp.gen_puzzle(b"payload", tpk, tsk)
+    samples = {mu: [] for mu in mus}
+    metered_exact = True
+    rng = random.Random(5)
+    for _ in range(3):
+        for mu in rng.sample(mus, len(mus)):
+            tpk, puzzle = puzzles[mu]
             clock = MeteredClock()
             start = time.perf_counter()
             tlp.solve(tpk, puzzle, meter=clock)
-            samples.append(time.perf_counter() - start)
+            samples[mu].append(time.perf_counter() - start)
             metered_exact &= clock.now == mu
-        times.append(sorted(samples)[1])
+    times = [sorted(samples[mu])[1] for mu in mus]
     slope, intercept = np.polyfit(mus, times, 1)
     fitted = slope * np.asarray(mus) + intercept
     residual = np.sum((np.asarray(times) - fitted) ** 2)

@@ -427,6 +427,25 @@ def test_setup_refuses_a_deadline_the_crs_cannot_hold(workspace, capsys, monkeyp
     assert not workspace["crs"].exists()
 
 
+_NON_UNITARY = "qubits 2 output 1\nDENSE_UNITARY 0\n1.0,0.0 1.0,0.0\n0.0,0.0 1.0,0.0\n"
+
+
+def test_setup_refuses_a_non_unitary_block(workspace, capsys, monkeypatch):
+    # No prover could evaluate the statement, so setup refuses it when it
+    # reads it, before the walk, and writes no CRS.
+    def walk(*args, **kwargs):
+        raise AssertionError("the chain walk started")
+
+    with pytest.raises(ParameterError, match="^DENSE_UNITARY matrix is not unitary$"):
+        qsim.circuit_from_text(_NON_UNITARY)
+    monkeypatch.setattr(tlp, "_walk_chain", walk)
+    workspace["circuit"].write_text(_NON_UNITARY)
+    workspace["input"].write_text("00")
+    assert _setup(workspace) == cli.EXIT_ERROR
+    assert capsys.readouterr().err.strip() == "error: DENSE_UNITARY matrix is not unitary"
+    assert not workspace["crs"].exists()
+
+
 def test_strategy_aliases_name_every_harness_strategy():
     assert cli._STRATEGY_ALIASES == {s.split("_")[0].lower(): s
                                      for s in harness.STRATEGIES}

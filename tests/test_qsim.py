@@ -154,6 +154,20 @@ def test_gate_matrix_closed_forms(kind, angle):
     assert np.abs(got - _CLOSED_FORMS[kind](angle)).max() <= 1e-12
 
 
+@pytest.mark.parametrize("kind", ["CNOT", "SWAP"])
+def test_gate_matrix_hands_out_a_new_array(kind):
+    # Writing into a returned matrix changes no later one, nor the
+    # reference `apply_gate`.
+    g = Gate(kind, (0, 1))
+    gate_matrix(g)[0, 0] = 5
+    gate_matrix(g)[:] = 0
+    expected = _CLOSED_FORMS[kind](None)
+    assert np.array_equal(gate_matrix(g), expected)
+    basis = np.zeros(4, dtype=complex)
+    basis[2] = 1        # |10>
+    assert np.array_equal(apply_gate(basis, g, 2), expected[:, 2])
+
+
 # ------------------------------------------------ fast path vs reference
 
 _ALL_KINDS = SINGLE_GATES + DOUBLE_GATES + ("DENSE_UNITARY",)
@@ -340,8 +354,9 @@ def test_schedule_applies_only_the_kernels_it_must(gates, expected):
 def test_dense_unitary_does_not_run_the_reference(monkeypatch, k):
     # Dense gates on k qubits, placed after SWAPs and after the front
     # flushes of H, RX and Y have moved qubits, are applied by the gathered
-    # product: `apply_gate` is only the reference that the fold below runs
-    # through this module's own binding of it.
+    # product on the gate's own matrix: the simulator plans and runs c
+    # without `apply_gate` or `gate_matrix`, the reference that the fold
+    # below runs and checks the replays against.
     gates = (Gate("H", (0,)), Gate("H", (3,)), Gate("SWAP", (0, 4)), Gate("CNOT", (3, 1)),
              _dense((4, 1, 2)[:k], seed=k), Gate("RX", (2,), params=(0.9,)),
              Gate("CZ", (2, 0)), Gate("SWAP", (1, 2)), _dense((0, 3, 2)[:k], seed=k + 3),
@@ -352,7 +367,10 @@ def test_dense_unitary_does_not_run_the_reference(monkeypatch, k):
     def refuse(*args):
         raise AssertionError("the simulator ran the single-gate reference")
 
-    monkeypatch.setattr(simulator, "apply_gate", refuse)
+    with monkeypatch.context() as patched:
+        patched.setattr(simulator, "apply_gate", refuse)
+        patched.setattr(simulator, "gate_matrix", refuse)
+        qsim.run(c)
     for bits in ([0, 0, 0, 0, 0], [1, 0, 1, 1, 0]):
         _assert_matches_reference_fold(c, bits)
 
@@ -456,15 +474,17 @@ def test_diagonal_fast_path_matches_generic(kind, params):
 
 
 def test_dense_unitary_rejects_non_unitary():
-    g = Gate("DENSE_UNITARY", (0,), matrix=np.array([[1, 1], [0, 1]], dtype=complex))
-    with pytest.raises(ParameterError):
-        apply_gate(_rand_state(1), g, 1)
+    # Checked when the gate is built.  An entry past the modulus bound, NaN
+    # included, fails before the product, which it could overflow.
+    for matrix in ([[1, 1], [0, 1]], [[1e200, 0], [0, 1]], [[math.nan, 0], [0, 1]]):
+        with pytest.raises(ParameterError, match="^DENSE_UNITARY matrix is not unitary$"):
+            Gate("DENSE_UNITARY", (0,), matrix=np.array(matrix, dtype=complex))
 
 
 def test_dense_gate_keeps_a_read_only_copy_of_its_matrix():
     # A complex source array is copied too, so writing to it later changes
     # neither the gate, nor the statement's encoding, nor the simulation,
-    # whether replayed or planned again (which checks unitarity again).
+    # whether replayed or planned again.
     source = np.array(_dense((0, 2), seed=5).matrix)
     g = Gate("DENSE_UNITARY", (0, 2), matrix=source)
     c = qsim.Circuit(n_qubits=3, gates=(Gate("H", (1,)), g), output_qubit=1)
@@ -811,7 +831,9 @@ _ZEROS = (0.0, -0.0)
 @st.composite
 def _statement(draw):
     """2-5 qubits and every gate kind, DENSE_UNITARY on 1-3 targets; angles
-    and matrix entries are often signed zeros, never NaN."""
+    are often signed zeros, never NaN.  A DENSE_UNITARY matrix is a phased
+    permutation: per row one entry of 1, -1, i or -i, and signed zeros in
+    both parts of every other, so it stays unitary when a zero flips."""
     n = draw(st.integers(2, 5))
     gates = []
     for _ in range(draw(st.integers(1, 10))):
@@ -820,11 +842,13 @@ def _statement(draw):
                  else GATE_ARITY[kind])
         targets = tuple(draw(st.permutations(range(n)))[:arity])
         if kind == "DENSE_UNITARY":
-            size = 4 ** arity
-            part = st.lists(st.sampled_from(_ZEROS + (1.0, -0.5)),
-                            min_size=size, max_size=size)
-            matrix = np.empty((2 ** arity, 2 ** arity), dtype=complex)
+            dim = 2 ** arity
+            part = st.lists(st.sampled_from(_ZEROS), min_size=dim * dim, max_size=dim * dim)
+            matrix = np.empty((dim, dim), dtype=complex)
             matrix.real.flat, matrix.imag.flat = draw(part), draw(part)
+            for row, col in enumerate(draw(st.permutations(range(dim)))):
+                entries = getattr(matrix, draw(st.sampled_from(("real", "imag"))))
+                entries[row, col] = draw(st.sampled_from((1.0, -1.0)))
             gates.append(Gate(kind, targets, matrix=matrix))
         else:
             angle = st.one_of(st.sampled_from(_ZEROS), st.floats(allow_nan=False))

@@ -2,7 +2,7 @@
 construction agree, fields are read-only, equality is by exact type and
 field values with a matching hash, the repr names every field, pickle and
 copy give the same record, and each constructor check raises its
-ParameterError."""
+ParameterError, also when a copy rebuilds the record."""
 
 import copy
 import math
@@ -15,7 +15,7 @@ import pytest
 from pvqc import commit, compiler, dvproof, harness, qsim, timestamp, tlp
 from pvqc.errors import ParameterError
 from pvqc.qsim import hhl
-from pvqc.record import Record
+from pvqc.record import Record, setfield
 
 K = b"k" * 32
 N = b"n" * 16
@@ -86,8 +86,6 @@ CONTRACT = {
         (2, 19, "the HHL register must fit in 20 qubits")]),
 }
 
-# A record's fields that are not constructor arguments.
-DERIVED = {hhl.HhlInstance: ("evolution_time",)}
 # Its array fields make equality of two distinct instances ambiguous, as
 # numpy's own `==` is, and the record unhashable; it has no alternative.
 HOLDS_ARRAYS = hhl.HhlInstance
@@ -113,7 +111,7 @@ def test_contract_covers_every_record_class():
 @pytest.mark.parametrize("cls", CONTRACT, ids=lambda c: c.__name__)
 def test_record_contract(cls):
     args, alt, bad = CONTRACT[cls]
-    names = [f for f in cls.__slots__ if f not in DERIVED.get(cls, ())]
+    names = cls.__slots__
     assert len(names) == len(args)
     record = cls(*args)
 
@@ -150,10 +148,16 @@ def test_record_contract(cls):
     with pytest.raises(AttributeError):
         record.extra = 1
 
-    # Each check raises its own ParameterError.
+    # Each check raises its own ParameterError, and so does a copy of a
+    # record whose field was set past the constructor.
     for index, value, message in bad:
         with pytest.raises(ParameterError, match="^" + re.escape(message)):
             cls(*_replaced(args, index, value))
+        broken = cls(*args)
+        setfield(broken, names[index], value)
+        for duplicate in (copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))):
+            with pytest.raises(ParameterError, match="^" + re.escape(message)):
+                duplicate(broken)
 
 
 def test_equality_needs_the_exact_type():
